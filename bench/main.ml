@@ -7,35 +7,29 @@
    take tens of seconds each; the naive-encoding solve is reported as
    intractable by design, matching the paper's day-long naive run). *)
 
-let fast_mode = Array.exists (( = ) "--fast") Sys.argv
+(* --smoke NAME: run only the named experiment at a reduced scope and
+   exit nonzero if its CI gate fails — the gates are the [smokes] table
+   at the bottom of this file. *)
+let smoke =
+  let rec find = function
+    | "--smoke" :: name :: _ -> Some name
+    | [ "--smoke" ] -> Some ""
+    | _ :: rest -> find rest
+    | [] -> None
+  in
+  find (Array.to_list Sys.argv)
 
-(* --scaling-smoke: run only the E15 scaling sweep at a reduced scope
-   and exit nonzero if --jobs 4 is materially slower than --jobs 1 —
-   the CI regression gate for the BENCH_E11 0.47x slowdown. *)
-let scaling_smoke = Array.exists (( = ) "--scaling-smoke") Sys.argv
+type mode = Smoke | Fast | Full
 
-(* --cluster-smoke: run only the E16 sharded-cluster sweep at a reduced
-   scope and exit nonzero if the fleet ever loses or changes a verdict
-   — the CI gate for the coordinator's failover/handoff invariant. *)
-let cluster_smoke = Array.exists (( = ) "--cluster-smoke") Sys.argv
+let mode =
+  if smoke <> None then Smoke
+  else if Array.exists (( = ) "--fast") Sys.argv then Fast
+  else Full
 
-(* --incremental-smoke: run only the E17 incremental matrix and exit
-   nonzero if the warm session is not materially cheaper than six
-   independent solves, or if the certified 3p2v pin diverges — the CI
-   gate for the incremental-session speedup and soundness claims. *)
-let incremental_smoke = Array.exists (( = ) "--incremental-smoke") Sys.argv
+let mode_name = function Smoke -> "smoke" | Fast -> "fast" | Full -> "full"
 
-(* --spec-smoke: run only the E18 spec-submission sweep and exit nonzero
-   if a cached verdict is not cheaper than a cold solve or if a hostile
-   mutating flood gets anything other than a structured reply — the CI
-   gate for the multi-tenant submit verb. *)
-let spec_smoke = Array.exists (( = ) "--spec-smoke") Sys.argv
-
-(* --failover-smoke: run only the E19 replicated-coordinator bench and
-   exit nonzero if the replication stream costs a healthy sweep more
-   than 10%, or if a takeover sweep is not byte-identical to the
-   reference — the CI gate for the warm-standby failover invariant. *)
-let failover_smoke = Array.exists (( = ) "--failover-smoke") Sys.argv
+(* smoke runs and --fast both shrink the experiment scopes *)
+let reduced = mode <> Full
 
 let section title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
@@ -60,7 +54,7 @@ let run_experiments () =
   ignore (Core.Experiments.figure1 ppf);
 
   section "E2/E3 - Figure 2 and Result 1: policy matrix";
-  ignore (Core.Experiments.policy_matrix ~include_sat:(not fast_mode) ppf);
+  ignore (Core.Experiments.policy_matrix ~include_sat:(not reduced) ppf);
 
   section "E4 - Result 2: rebidding attack";
   ignore (Core.Experiments.rebidding_attack ppf);
@@ -84,7 +78,7 @@ let run_experiments () =
 
   section "E7 - VN mapping case study";
   ignore
-    (Core.Experiments.vnm_comparison ~instances:(if fast_mode then 10 else 30) ppf);
+    (Core.Experiments.vnm_comparison ~instances:(if reduced then 10 else 30) ppf);
 
   section "E8 - Section III listings";
   ignore (Core.Experiments.paper_listings ppf)
@@ -177,7 +171,7 @@ let run_parallel_sweep () =
   section "E11 - Multicore sweep (policy matrix over a worker pool)";
   let cores = Parallel.Pool.available_jobs () in
   let scope =
-    if fast_mode then
+    if reduced then
       { Core.Mca_model.small_scope with Core.Mca_model.states = 4;
         Core.Mca_model.values = 5 }
     else Core.Mca_model.small_scope
@@ -270,7 +264,7 @@ let run_parallel_sweep () =
 let run_crashsafe_sweep () =
   section "E12 - Crash-safe sweep (journal overhead, resume savings)";
   let scope =
-    if fast_mode then
+    if reduced then
       { Core.Mca_model.small_scope with Core.Mca_model.states = 4;
         Core.Mca_model.values = 5 }
     else Core.Mca_model.small_scope
@@ -390,8 +384,7 @@ let run_scaling_sweep () =
   in
   let measured_scopes =
     ("2p2v/4st", scope_2p2v, 5)
-    :: (if scaling_smoke || fast_mode then []
-        else [ ("3p2v/3st", scope_3p2v, 3) ])
+    :: (if reduced then [] else [ ("3p2v/3st", scope_3p2v, 3) ])
   in
   let budget () = Netsim.Budget.create ~wall_s:600.0 () in
   let job_counts = [ 1; 2; 4 ] in
@@ -494,8 +487,7 @@ let run_scaling_sweep () =
   p "{\n";
   p "  \"experiment\": \"E15-scaling-sweep\",\n";
   p "  \"cores\": %d,\n" cores;
-  p "  \"mode\": \"%s\",\n"
-    (if scaling_smoke then "smoke" else if fast_mode then "fast" else "full");
+  p "  \"mode\": \"%s\",\n" (mode_name mode);
   p "  \"scopes\": [\n";
   List.iteri
     (fun i (tag, cells, repeats, medians) ->
@@ -656,10 +648,7 @@ let run_incremental_matrix () =
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"experiment\": \"E17-incremental-matrix\",\n";
-  p "  \"mode\": \"%s\",\n"
-    (if incremental_smoke then "smoke"
-     else if fast_mode then "fast"
-     else "full");
+  p "  \"mode\": \"%s\",\n" (mode_name mode);
   p "  \"scope\": \"2p2v/4st\",\n";
   p "  \"cells\": %d,\n" (List.length policies);
   p "  \"repeats\": %d,\n" repeats;
@@ -709,8 +698,8 @@ let run_overload_service () =
   in
   let t = Service.Server.start cfg in
   let addr = Service.Server.Unix_path sock in
-  let total = if fast_mode then 12 else 24 in
-  let loads = if fast_mode then [ 1; 8 ] else [ 1; 4; 16 ] in
+  let total = if reduced then 12 else 24 in
+  let loads = if reduced then [ 1; 8 ] else [ 1; 4; 16 ] in
   Format.printf "  jobs=%d queue_cap=%d deadline=%.1fs, %d requests per point@."
     jobs queue_cap cfg.Service.Server.default_deadline total;
   Format.printf "  %-12s %10s %12s %10s %10s@." "concurrency" "wall(s)"
@@ -780,7 +769,7 @@ let run_overload_service () =
 
 let run_cluster_sweep () =
   section "E16 - Sharded cluster (throughput vs fleet size, kill-a-worker)";
-  let states = if cluster_smoke || fast_mode then 3 else 4 in
+  let states = if reduced then 3 else 4 in
   let tag = Printf.sprintf "2p2v/%dst" states in
   let scope =
     { Core.Mca_model.pnodes = 2; vnodes = 2; states; values = 6; bitwidth = 4 }
@@ -880,8 +869,7 @@ let run_cluster_sweep () =
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"experiment\": \"E16-sharded-cluster\",\n";
-  p "  \"mode\": \"%s\",\n"
-    (if cluster_smoke then "smoke" else if fast_mode then "fast" else "full");
+  p "  \"mode\": \"%s\",\n" (mode_name mode);
   p "  \"scope\": \"%s\",\n" (json_escape tag);
   p "  \"cells\": %d,\n" !sweep_cells;
   p "  \"dispatchers\": %d,\n" dispatchers;
@@ -920,7 +908,7 @@ let run_cluster_sweep () =
 
 let run_failover_bench () =
   section "E19 - Replicated coordinator (replication overhead, takeover vs lease)";
-  let states = if failover_smoke || fast_mode then 3 else 4 in
+  let states = if reduced then 3 else 4 in
   let tag = Printf.sprintf "2p2v/%dst" states in
   let scope =
     { Core.Mca_model.pnodes = 2; vnodes = 2; states; values = 6; bitwidth = 4 }
@@ -970,7 +958,7 @@ let run_failover_bench () =
      repeats, medians.  The replica must come out a verbatim prefix of
      the primary journal (the drain races the publisher shutdown for
      the final batch, so prefix — not equality — is the invariant). *)
-  let repeats = if failover_smoke || fast_mode then 3 else 4 in
+  let repeats = if reduced then 3 else 4 in
   (* every timed run gets a fresh fleet so both configurations pay the
      same cold solves: against warm worker caches the sweep collapses
      to ~50ms of wire traffic and a 10% gate would measure jitter, not
@@ -1049,9 +1037,7 @@ let run_failover_bench () =
      the standby has replicated two records; the standby must detect
      the silence (down_after consecutive failed pulls AND a lapsed
      lease), fence the fleet at epoch 2 and finish to the same grid. *)
-  let leases =
-    if failover_smoke || fast_mode then [ 0.2; 0.5 ] else [ 0.2; 0.5; 1.0 ]
-  in
+  let leases = if reduced then [ 0.2; 0.5 ] else [ 0.2; 0.5; 1.0 ] in
   let takeover_points =
     List.map
       (fun lease ->
@@ -1127,8 +1113,7 @@ let run_failover_bench () =
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"experiment\": \"E19-replicated-coordinator\",\n";
-  p "  \"mode\": \"%s\",\n"
-    (if failover_smoke then "smoke" else if fast_mode then "fast" else "full");
+  p "  \"mode\": \"%s\",\n" (mode_name mode);
   p "  \"scope\": \"%s\",\n" (json_escape tag);
   p
     "  \"replication_overhead\": {\"plain_wall_median_s\": %.3f, \
@@ -1189,7 +1174,7 @@ let run_spec_service () =
       Service.Server.join t;
       try Sys.remove sock with Sys_error _ -> ())
   @@ fun () ->
-  let submits = if spec_smoke || fast_mode then 5 else 12 in
+  let submits = if reduced then 5 else 12 in
   let time_submit ?tenant ?certify body =
     let t0 = Unix.gettimeofday () in
     let r = Service.Client.submit ?tenant ?certify addr body in
@@ -1249,7 +1234,7 @@ let run_spec_service () =
   Format.printf "  %-22s %12.2f@." "quota refusal" (m_refused *. 1e3);
   (* the hostile flood: mutated specs from two concurrent clients; the
      robustness contract is that transport failures stay at zero *)
-  let flood_total = if spec_smoke || fast_mode then 60 else 200 in
+  let flood_total = if reduced then 60 else 200 in
   let fr =
     Service.Client.spec_flood ~concurrency:2 ~mutate_seed:18 ~total:flood_total
       addr spec_fixture
@@ -1264,8 +1249,7 @@ let run_spec_service () =
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"experiment\": \"E18-spec-submission-service\",\n";
-  p "  \"mode\": \"%s\",\n"
-    (if spec_smoke then "smoke" else if fast_mode then "fast" else "full");
+  p "  \"mode\": \"%s\",\n" (mode_name mode);
   p "  \"submits_per_path\": %d,\n" submits;
   p "  \"cold_median_ms\": %.3f,\n" (m_cold *. 1e3);
   p "  \"cached_median_ms\": %.3f,\n" (m_cached *. 1e3);
@@ -1310,7 +1294,7 @@ let run_certification () =
   row "php-sat-6-into-6" (Sat.Gen.php_sat 6);
   row "random3sat-100v-r4.2"
     (Sat.Gen.random_ksat ~seed:3 ~k:3 ~num_vars:100 ~num_clauses:420);
-  if not fast_mode then begin
+  if not reduced then begin
     (* the paper's check consensus at the headline 3p/2v scope, verdict
        re-validated by the independent proof checker *)
     let m =
@@ -1451,76 +1435,52 @@ let run_benchmarks () =
         results)
     (bench_tests ())
 
+(* the CI gates: (name, title, runner, failure message) *)
+let smokes =
+  [
+    ( "scaling", "scaling smoke (E15 only)", run_scaling_sweep,
+      "--jobs 4 beyond 1.2x of --jobs 1, or journal overhead above 10%" );
+    ( "cluster", "cluster smoke (E16 only)", run_cluster_sweep,
+      "a killed worker lost or changed verdicts" );
+    ( "incremental", "incremental smoke (E17 only)", run_incremental_matrix,
+      "warm session above 0.9x of independent solves, or certified 3p2v pin \
+       diverged" );
+    ( "failover", "failover smoke (E19 only)", run_failover_bench,
+      "replication stream above 10% overhead, the replica diverged from the \
+       primary journal, or a takeover sweep changed a verdict" );
+    ( "spec", "spec-service smoke (E18 only)", run_spec_service,
+      "cache hit dearer than a cold solve, or the hostile flood broke the \
+       structured-reply contract" );
+  ]
+
 let () =
-  if scaling_smoke then begin
-    Format.printf "MCA verification library — scaling smoke (E15 only)@.";
-    let ok = run_scaling_sweep () in
-    if not ok then begin
-      Format.eprintf
-        "scaling smoke FAILED: --jobs 4 beyond 1.2x of --jobs 1, or journal \
-         overhead above 10%%@.";
-      exit 1
-    end;
-    Format.printf "@.scaling smoke passed.@."
-  end
-  else if cluster_smoke then begin
-    Format.printf "MCA verification library — cluster smoke (E16 only)@.";
-    let ok = run_cluster_sweep () in
-    if not ok then begin
-      Format.eprintf
-        "cluster smoke FAILED: a killed worker lost or changed verdicts@.";
-      exit 1
-    end;
-    Format.printf "@.cluster smoke passed.@."
-  end
-  else if incremental_smoke then begin
-    Format.printf "MCA verification library — incremental smoke (E17 only)@.";
-    let ok = run_incremental_matrix () in
-    if not ok then begin
-      Format.eprintf
-        "incremental smoke FAILED: warm session above 0.9x of independent \
-         solves, or certified 3p2v pin diverged@.";
-      exit 1
-    end;
-    Format.printf "@.incremental smoke passed.@."
-  end
-  else if failover_smoke then begin
-    Format.printf "MCA verification library — failover smoke (E19 only)@.";
-    let ok = run_failover_bench () in
-    if not ok then begin
-      Format.eprintf
-        "failover smoke FAILED: replication stream above 10%% overhead, the \
-         replica diverged from the primary journal, or a takeover sweep \
-         changed a verdict@.";
-      exit 1
-    end;
-    Format.printf "@.failover smoke passed.@."
-  end
-  else if spec_smoke then begin
-    Format.printf "MCA verification library — spec-service smoke (E18 only)@.";
-    let ok = run_spec_service () in
-    if not ok then begin
-      Format.eprintf
-        "spec smoke FAILED: cache hit dearer than a cold solve, or the \
-         hostile flood broke the structured-reply contract@.";
-      exit 1
-    end;
-    Format.printf "@.spec smoke passed.@."
-  end
-  else begin
-    Format.printf "MCA verification library — benchmark & experiment harness@.";
-    Format.printf "(%s mode)@." (if fast_mode then "fast" else "full");
-    run_experiments ();
-    run_parallel_sweep ();
-    run_crashsafe_sweep ();
-    ignore (run_scaling_sweep () : bool);
-    ignore (run_incremental_matrix () : bool);
-    run_overload_service ();
-    ignore (run_spec_service () : bool);
-    ignore (run_cluster_sweep () : bool);
-    ignore (run_failover_bench () : bool);
-    run_certification ();
-    run_loss_sweep ();
-    run_benchmarks ();
-    Format.printf "@.done.@."
-  end
+  match smoke with
+  | Some name -> (
+      match List.find_opt (fun (n, _, _, _) -> n = name) smokes with
+      | None ->
+          Format.eprintf "unknown --smoke %S; valid names: %s@." name
+            (String.concat ", " (List.map (fun (n, _, _, _) -> n) smokes));
+          exit 2
+      | Some (_, title, run, failure) ->
+          Format.printf "MCA verification library — %s@." title;
+          if not (run ()) then begin
+            Format.eprintf "%s smoke FAILED: %s@." name failure;
+            exit 1
+          end;
+          Format.printf "@.%s smoke passed.@." name)
+  | None ->
+      Format.printf "MCA verification library — benchmark & experiment harness@.";
+      Format.printf "(%s mode)@." (mode_name mode);
+      run_experiments ();
+      run_parallel_sweep ();
+      run_crashsafe_sweep ();
+      ignore (run_scaling_sweep () : bool);
+      ignore (run_incremental_matrix () : bool);
+      run_overload_service ();
+      ignore (run_spec_service () : bool);
+      ignore (run_cluster_sweep () : bool);
+      ignore (run_failover_bench () : bool);
+      run_certification ();
+      run_loss_sweep ();
+      run_benchmarks ();
+      Format.printf "@.done.@."

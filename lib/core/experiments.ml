@@ -132,9 +132,25 @@ let sweep_config ~seed ~policy_label ~scope_tag (p : Mca.Policy.t)
       ~base_utilities ~policy:p
   end
 
-let sweep_cell ?stop ?shared ?(incremental = false) ~budget ~seed
+let verdict_of_outcome = function
+  | Relalg.Translate.Decided Alloylite.Compile.Unsat -> Holds
+  | Relalg.Translate.Decided (Alloylite.Compile.Sat _) -> Violated
+  | Relalg.Translate.Unknown reason -> Undecided reason
+
+let cell_sat_verdict ?stop ~budget shared mp =
+  verdict_of_outcome
+    (Mca_model.check_consensus_incremental ?stop ~budget
+       (Mca_model.domain_session shared) mp)
+
+let run_cell ?stop ~shared ?(incremental = true) ~budget ~seed
     ((policy_label, p, mp, scope_tag, scope) :
       string * Mca.Policy.t * Mca_model.policy * string * Mca_model.scope_spec) =
+  let mp = { mp with Mca_model.target = min mp.Mca_model.target scope.Mca_model.vnodes } in
+  (* solving another scope's CNF would return its verdict for this cell *)
+  if
+    shared.Mca_model.shared_scope <> scope
+    || shared.Mca_model.shared_target <> mp.Mca_model.target
+  then invalid_arg "run_cell: ~shared was built for another scope or target";
   let t0 = Unix.gettimeofday () in
   let cfg = sweep_config ~seed ~policy_label ~scope_tag p scope in
   let sim_ok =
@@ -149,30 +165,10 @@ let sweep_cell ?stop ?shared ?(incremental = false) ~budget ~seed
     | Checker.Explore.Nonconvergence _ | Checker.Explore.Bad_terminal _ ->
         Violated
   in
-  let mp = { mp with Mca_model.target = min mp.Mca_model.target scope.Mca_model.vnodes } in
   let sat_verdict =
-    (* a matching shared translation skips the per-cell
-       build → translate pipeline entirely: same CNF, selector
-       assumptions, fresh solver (differentially pinned equivalent).
-       [incremental] further reuses this domain's warm session solver
-       across cells, so learnt clauses carry from cell to cell. *)
-    let outcome =
-      match shared with
-      | Some sh
-        when sh.Mca_model.shared_scope = scope
-             && sh.Mca_model.shared_target = mp.Mca_model.target ->
-          if incremental then
-            Mca_model.check_consensus_incremental ?stop ~budget
-              (Mca_model.domain_session sh) mp
-          else Mca_model.check_consensus_shared ?stop ~budget sh mp
-      | _ ->
-          Mca_model.check_consensus_bounded ~symmetry:true ?stop ~budget
-            (Mca_model.build Mca_model.Efficient mp scope)
-    in
-    match outcome with
-    | Relalg.Translate.Decided Alloylite.Compile.Unsat -> Holds
-    | Relalg.Translate.Decided (Alloylite.Compile.Sat _) -> Violated
-    | Relalg.Translate.Unknown reason -> Undecided reason
+    if incremental then cell_sat_verdict ?stop ~budget shared mp
+    else
+      verdict_of_outcome (Mca_model.check_consensus_shared ?stop ~budget shared mp)
   in
   {
     policy_label;
@@ -204,7 +200,6 @@ let lookup_policy label =
   | _ -> None
 
 let cell_config = sweep_config
-let run_cell = sweep_cell
 
 (* -- journal cell records ------------------------------------------- *)
 (* One journal entry per completed cell, pipe-separated key=value
@@ -355,7 +350,7 @@ let load_journal ~seed path =
 
 let run_sweep ?(jobs = 1) ?(seed = 1) ?(budget = Netsim.Budget.unlimited)
     ?scopes ?journal ?(resume = false) ?journal_flush_every
-    ?journal_flush_interval_s ?supervision ?(incremental = true) () =
+    ?journal_flush_interval_s ?supervision () =
   let tasks = sweep_tasks ?scopes () in
   let t0 = Unix.gettimeofday () in
   let loaded =
@@ -407,12 +402,12 @@ let run_sweep ?(jobs = 1) ?(seed = 1) ?(budget = Netsim.Budget.unlimited)
           (fun ~stop task ->
             let (_, _, mp, tag, scope) = task in
             let shared =
-              Hashtbl.find_opt shared_tbl
+              Hashtbl.find shared_tbl
                 (tag, min mp.Mca_model.target scope.Mca_model.vnodes)
             in
             let cell =
-              sweep_cell ~stop ?shared ~incremental
-                ~budget:(Netsim.Budget.restarted budget) ~seed task
+              run_cell ~stop ~shared ~budget:(Netsim.Budget.restarted budget)
+                ~seed task
             in
             (* journal at the record boundary — but never an attempt the
                supervisor is about to discard (stalled or drained): a

@@ -90,7 +90,6 @@ val run_sweep :
   ?journal_flush_every:int ->
   ?journal_flush_interval_s:float ->
   ?supervision:Parallel.Supervise.policy ->
-  ?incremental:bool ->
   unit ->
   sweep_report
 (** Runs the matrix with at most [jobs] (default 1) worker domains;
@@ -104,15 +103,14 @@ val run_sweep :
     and each cell solves that immutable CNF under its three policy
     selector assumptions — workers no longer rebuild nearly-identical
     CNF per cell, which is what made [--jobs 4] slower than sequential
-    in BENCH_E11. With [~incremental:true] (the default) each worker
-    domain additionally threads {e one warm solver} through its share
-    of cells ({!Mca_model.domain_session}): learnt clauses and
-    heuristic state carry across cells, making the matrix measurably
-    cheaper than independent solves (bench E17). Verdicts — and hence
-    the rendered grid — are byte-identical with [~incremental:false]
-    and at any [jobs]; the differential suite pins all three SAT paths
-    (incremental ≡ shared-translation ≡ per-cell fresh) against each
-    other.
+    in BENCH_E11. Each worker domain threads {e one warm solver}
+    through its share of cells ({!Mca_model.domain_session}): learnt
+    clauses and heuristic state carry across cells, making the matrix
+    measurably cheaper than independent solves (bench E17). Verdicts —
+    and hence the rendered grid — are byte-identical at any [jobs] and
+    to a grid of fresh-solver cells ([run_cell ~incremental:false]);
+    the differential suite pins the warm session against that oracle
+    and against the per-cell build → translate pipeline.
 
     Crash safety: with [~journal:path] every completed cell is appended
     to a CRC-framed, fsync'd write-ahead journal; with [~resume:true]
@@ -146,23 +144,31 @@ val cell_config :
     (seed, policy, scope) elsewhere. Shared by the sweep and the
     service so a cell means the same problem everywhere. *)
 
+val cell_sat_verdict :
+  ?stop:(unit -> bool) -> budget:Netsim.Budget.t ->
+  Mca_model.shared -> Mca_model.policy -> sweep_verdict
+(** The SAT column of a policy-matrix cell, and the only production
+    path to the solver for one: [policy]'s selector assumptions on the
+    calling domain's warm session over [shared]
+    ({!Mca_model.domain_session}). {!run_cell} and the service ladder's
+    CDCL rung both answer through it. *)
+
 val run_cell :
   ?stop:(unit -> bool) ->
-  ?shared:Mca_model.shared ->
+  shared:Mca_model.shared ->
   ?incremental:bool ->
   budget:Netsim.Budget.t ->
   seed:int ->
   (string * Mca.Policy.t * Mca_model.policy * string * Mca_model.scope_spec) ->
   sweep_cell
 (** Verifies one cell of {!sweep_tasks} across the three backends —
-    the unit of work both {!run_sweep} and the service's workers
-    execute. The budget bounds each backend individually. When [shared]
-    matches the task's scope and effective target, the SAT backend
-    solves the shared translation under selector assumptions instead of
-    rebuilding and re-translating the model; otherwise it falls back to
-    the per-cell pipeline. [incremental] (default false here — callers
-    opt in) additionally reuses the calling domain's warm session for a
-    matching [shared]. *)
+    the unit of work {!run_sweep} executes. The budget bounds each
+    backend individually. The SAT column is {!cell_sat_verdict} on
+    [shared], which must be the {!Mca_model.build_shared} translation
+    of the task's scope and effective target ([Invalid_argument]
+    otherwise). [~incremental:false] (default [true]) gives the cell a
+    fresh solver instead — the oracle the differential suite checks
+    the warm path against. *)
 
 (** The field-level escaping and verdict syntax of the journal records,
     exported because the service's newline-framed wire protocol reuses

@@ -53,7 +53,7 @@ type scope_spec = {
 
 val paper_scope : scope_spec
 (** The paper's headline scope: 3 physical nodes, 2 virtual nodes (plus
-    5 states, 6 values, bitwidth 4). *)
+    6 states, 6 values, bitwidth 4). *)
 
 val small_scope : scope_spec
 (** 2×2, for quick checks and tests. *)

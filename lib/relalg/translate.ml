@@ -342,11 +342,6 @@ let trivial_model tr assumptions =
     assumptions;
   model
 
-let assume tr assumptions =
-  List.fold_left
-    (fun p l -> Sat.Cnf.add_clause p [ l ])
-    tr.cnf.F.problem assumptions
-
 let solve_translation_bounded ?stop ?(assumptions = []) ~budget tr =
   match tr.cnf.F.constant with
   | Some false -> Decided Unsat

@@ -1,6 +1,6 @@
-type rung = Cdcl | Dpll | Explicit
+type rung = Cdcl | Explicit
 
-let rung_name = function Cdcl -> "cdcl" | Dpll -> "dpll" | Explicit -> "explicit"
+let rung_name = function Cdcl -> "cdcl" | Explicit -> "explicit"
 
 type t = { breakers : (rung * Breaker.t) list }
 
@@ -9,7 +9,7 @@ let make ?trip_after ?backoff ?(seed = 0) () =
     breakers =
       List.map
         (fun r -> (r, Breaker.make ?trip_after ?backoff ~seed ~key:(rung_name r) ()))
-        [ Cdcl; Dpll; Explicit ];
+        [ Cdcl; Explicit ];
   }
 
 let breaker t rung = List.assoc rung t.breakers
@@ -71,65 +71,16 @@ let decide ?(now = Unix.gettimeofday) t rungs =
 
 (* ---- the standard consensus rungs -------------------------------- *)
 
-type backend =
-  | Fresh_model of Core.Mca_model.t
-  | Shared_translation of Core.Mca_model.shared * Core.Mca_model.policy
-
-let consensus_rungs ?stop ~budget_for ~backend ~exhaustive () =
-  let of_bounded = function
-    | Relalg.Translate.Decided Alloylite.Compile.Unsat -> Core.Experiments.Holds
-    | Relalg.Translate.Decided (Alloylite.Compile.Sat _) ->
-        Core.Experiments.Violated
-    | Relalg.Translate.Unknown reason -> Core.Experiments.Undecided reason
-  in
+let consensus_rungs ?stop ~budget_for ~shared ~policy ~exhaustive () =
   let cdcl () =
-    of_bounded
-      (match backend with
-      | Fresh_model model ->
-          Core.Mca_model.check_consensus_bounded ~symmetry:true ?stop
-            ~budget:(budget_for Cdcl) model
-      | Shared_translation (sh, policy) ->
-          (* the cached translation: no rebuild, no re-translation —
-             and this worker domain's warm session solver, so learnt
-             clauses amortize across every request that hits the same
-             (scope, target). Service worker domains are long-lived,
-             which is exactly when the per-domain session cache pays. *)
-          Core.Mca_model.check_consensus_incremental ?stop
-            ~budget:(budget_for Cdcl)
-            (Core.Mca_model.domain_session sh)
-            policy)
+    (* the cached translation on this worker domain's warm session:
+       service workers are long-lived, so learnt clauses amortize across
+       every request that hits the same (scope, target) *)
+    Core.Experiments.cell_sat_verdict ?stop ~budget:(budget_for Cdcl) shared
+      policy
   in
-  let dpll () =
-    (* same query, no clause learning: slower on hard instances but a
-       genuinely independent engine — the paper's cross-checking idea
-       as a fallback *)
-    let constant, problem =
-      match backend with
-      | Fresh_model model ->
-          let cnf = Core.Mca_model.consensus_cnf model in
-          (cnf.Sat.Formula.constant, lazy cnf.Sat.Formula.problem)
-      | Shared_translation (sh, policy) ->
-          let tr = sh.Core.Mca_model.shared_translation in
-          ( tr.Relalg.Translate.cnf.Sat.Formula.constant,
-            (* selector bits become unit clauses; the shared problem is
-               functional, so extending it copies nothing *)
-            lazy
-              (Relalg.Translate.assume tr
-                 (Core.Mca_model.shared_assumptions sh policy)) )
-    in
-    match constant with
-    | Some false -> Core.Experiments.Holds
-    | Some true -> Core.Experiments.Violated
-    | None -> (
-        match
-          Sat.Dpll.solve_bounded ?stop ~budget:(budget_for Dpll)
-            (Lazy.force problem)
-        with
-        | Sat.Solver.Decided Sat.Solver.Unsat -> Core.Experiments.Holds
-        | Sat.Solver.Decided (Sat.Solver.Sat _) -> Core.Experiments.Violated
-        | Sat.Solver.Unknown { reason; _ } -> Core.Experiments.Undecided reason)
-  in
-  [ (Cdcl, cdcl); (Dpll, dpll); (Explicit, exhaustive) ]
+  [ (Cdcl, cdcl); (Explicit, exhaustive) ]
 
-let check_consensus ?now ?stop ~budget_for ~backend ~exhaustive t =
-  decide ?now t (consensus_rungs ?stop ~budget_for ~backend ~exhaustive ())
+let check_consensus ?now ?stop ~budget_for ~shared ~policy ~exhaustive t =
+  decide ?now t
+    (consensus_rungs ?stop ~budget_for ~shared ~policy ~exhaustive ())

@@ -1,4 +1,4 @@
-(** The graceful-degradation ladder: CDCL → DPLL → explicit checker →
+(** The graceful-degradation ladder: CDCL → explicit checker →
     [UNKNOWN].
 
     Each rung is guarded by its own {!Breaker}: a backend that keeps
@@ -9,12 +9,13 @@
     a breaker timeout and the request falls to the next rung; only when
     every rung is refused or undecided does the request resolve to
     [Undecided "degraded: …"] — the service's honest [UNKNOWN], never a
-    crash or a hang. *)
+    crash or a hang. Engine cross-checking (e.g. against {!Sat.Dpll})
+    belongs to the differential test suite, not to this ladder. *)
 
-type rung = Cdcl | Dpll | Explicit
+type rung = Cdcl | Explicit
 
 val rung_name : rung -> string
-(** ["cdcl"], ["dpll"], ["explicit"]. *)
+(** ["cdcl"], ["explicit"]. *)
 
 type t
 (** One breaker per rung; shared by all worker domains. *)
@@ -46,39 +47,28 @@ val decide :
     any other [Undecided] records a breaker timeout and falls through.
     [now] (default wall clock) is injected for deterministic tests. *)
 
-(** What the SAT rungs solve: a per-request model compiled from scratch,
-    or a cached scope-wide shared translation plus the cell's policy —
-    the latter skips the build → translate pipeline entirely and solves
-    the shared CNF under three selector assumptions on this worker
-    domain's {e warm incremental session}
-    ({!Core.Mca_model.check_consensus_incremental} over
-    {!Core.Mca_model.domain_session}): service workers are long-lived,
-    so learnt clauses amortize across every request hitting the same
-    (scope, target). *)
-type backend =
-  | Fresh_model of Core.Mca_model.t
-  | Shared_translation of Core.Mca_model.shared * Core.Mca_model.policy
-
 val consensus_rungs :
   ?stop:(unit -> bool) ->
   budget_for:(rung -> Netsim.Budget.t) ->
-  backend:backend ->
+  shared:Core.Mca_model.shared ->
+  policy:Core.Mca_model.policy ->
   exhaustive:(unit -> Core.Experiments.sweep_verdict) ->
   unit -> (rung * (unit -> Core.Experiments.sweep_verdict)) list
-(** The standard three rungs for a [check consensus] cell: bounded CDCL
-    (with symmetry breaking), bounded DPLL on the same CNF (an
-    independent engine, no clause learning; under
-    [Shared_translation] the selector bits are added as unit clauses),
-    and the caller's [exhaustive] thunk — in the service this reuses the
-    explicit-state verdict the reply needs anyway, so the bottom rung
-    costs nothing extra. [budget_for] slices the remaining request
-    deadline per rung. *)
+(** The standard two rungs for a [check consensus] cell. The first is
+    bounded CDCL on the cached scope-wide [shared] translation under
+    [policy], on this worker domain's warm session
+    ({!Core.Experiments.cell_sat_verdict}). The second is the caller's
+    [exhaustive] thunk — in
+    the service this reuses the explicit-state verdict the reply needs
+    anyway, so the bottom rung costs nothing extra. [budget_for] slices
+    the remaining request deadline per rung. *)
 
 val check_consensus :
   ?now:(unit -> float) ->
   ?stop:(unit -> bool) ->
   budget_for:(rung -> Netsim.Budget.t) ->
-  backend:backend ->
+  shared:Core.Mca_model.shared ->
+  policy:Core.Mca_model.policy ->
   exhaustive:(unit -> Core.Experiments.sweep_verdict) ->
   t -> answer
 (** [decide] over [consensus_rungs]. *)

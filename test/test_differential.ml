@@ -366,24 +366,64 @@ let test_sweep_determinism_and_pins () =
       | _ -> ())
     r1.Core.Experiments.cells
 
-(* the --incremental/--no-incremental and --jobs axes must be invisible
-   in the canonical rendering: same seed ⇒ byte-identical grids *)
+(* the warm-session sweep must be invisible in the canonical rendering:
+   at any --jobs it renders byte-identical to a grid of fresh-solver
+   cells (run_cell ~incremental:false, the oracle path) *)
 let test_sweep_incremental_byte_identity () =
-  let run ~jobs ~incremental =
-    Core.Experiments.run_sweep ~jobs ~seed:1
-      ~budget:(Netsim.Budget.create ~wall_s:120.0 ())
-      ~scopes:sweep_scope ~incremental ()
+  let budget () = Netsim.Budget.create ~wall_s:120.0 () in
+  let shared =
+    Core.Mca_model.build_shared Core.Mca_model.Efficient
+      (snd (List.hd sweep_scope))
+  in
+  let fresh_cells =
+    Array.to_list
+      (Array.map
+         (fun task ->
+           Core.Experiments.run_cell ~shared ~incremental:false
+             ~budget:(budget ()) ~seed:1 task)
+         (Core.Experiments.sweep_tasks ~scopes:sweep_scope ()))
   in
   let base =
-    Core.Experiments.render_sweep (run ~jobs:1 ~incremental:false)
+    Core.Experiments.render_sweep
+      {
+        Core.Experiments.sweep_jobs = 1;
+        sweep_seed = 1;
+        cells = fresh_cells;
+        sweep_wall = 0.0;
+        sweep_resumed = 0;
+        sweep_partial = false;
+      }
   in
   List.iter
-    (fun (jobs, incremental) ->
+    (fun jobs ->
       Alcotest.(check string)
-        (Printf.sprintf "jobs %d, incremental %b" jobs incremental)
+        (Printf.sprintf "jobs %d warm sweep = fresh-solver grid" jobs)
         base
-        (Core.Experiments.render_sweep (run ~jobs ~incremental)))
-    [ (1, true); (4, true); (4, false) ]
+        (Core.Experiments.render_sweep
+           (Core.Experiments.run_sweep ~jobs ~seed:1 ~budget:(budget ())
+              ~scopes:sweep_scope ())))
+    [ 1; 4 ]
+
+(* a shared translation of another scope or target must be refused, not
+   solved: its CNF would answer for a different cell *)
+let test_run_cell_rejects_foreign_shared () =
+  let small = scope ~states:2 ~values:4 in
+  let rejected shared scopes =
+    match
+      Core.Experiments.run_cell ~shared ~budget:Netsim.Budget.unlimited
+        ~seed:1 (Core.Experiments.sweep_tasks ~scopes ()).(0)
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "another scope" true
+    (rejected
+       (Core.Mca_model.build_shared Core.Mca_model.Efficient small)
+       sweep_scope);
+  check "another target" true
+    (rejected
+       (Core.Mca_model.build_shared ~target:1 Core.Mca_model.Efficient small)
+       [ ("2p2v/2st", small) ])
 
 let test_sweep_exhausted_budget_is_deterministic () =
   (* a zero wall budget leaves every cell undecided — identically so at
@@ -428,6 +468,8 @@ let suite =
       test_incremental_no_unsat_leak;
     Alcotest.test_case "sweep byte-identical across jobs x incremental" `Slow
       test_sweep_incremental_byte_identity;
+    Alcotest.test_case "run_cell rejects a shared translation of another scope"
+      `Quick test_run_cell_rejects_foreign_shared;
     Alcotest.test_case "sweep deterministic under exhausted budget" `Quick
       test_sweep_exhausted_budget_is_deterministic;
     QCheck_alcotest.to_alcotest qcheck_dpll_cdcl_agree_unsat_family;
