@@ -1,11 +1,15 @@
 (** Conflict-driven clause-learning (CDCL) SAT solver.
 
-    A from-scratch MiniSat-style solver: two-literal watching, first-UIP
-    conflict analysis with clause minimization, VSIDS decision heuristic
-    with phase saving, Luby restarts and activity-based learnt-clause
-    database reduction. This is the engine under the relational-logic
-    translation ({!Relalg}) and hence under every Alloy-lite [check]/[run]
-    command, mirroring the Alloy Analyzer's use of MiniSat via Kodkod. *)
+    A self-contained MiniSat-style solver: two-literal watching with
+    blocker literals (a watcher whose blocker is true skips its clause
+    unread), first-UIP conflict analysis with recursive clause
+    minimization (a literal is dropped when its reason chain, at any
+    depth, ends in the clause's other literals or at level 0), VSIDS
+    decision heuristic with phase saving, Luby restarts and
+    activity-based learnt-clause database reduction. This is the engine
+    under the relational-logic translation ({!Relalg}) and hence under
+    every Alloy-lite [check]/[run] command, mirroring the Alloy
+    Analyzer's use of MiniSat via Kodkod. *)
 
 type t
 

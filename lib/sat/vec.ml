@@ -46,12 +46,6 @@ let shrink v n =
   Array.fill v.data n (v.sz - n) v.dummy;
   v.sz <- n
 
-let swap_remove v i =
-  if i < 0 || i >= v.sz then invalid_arg "Vec.swap_remove";
-  v.sz <- v.sz - 1;
-  v.data.(i) <- v.data.(v.sz);
-  v.data.(v.sz) <- v.dummy
-
 let iter f v =
   for i = 0 to v.sz - 1 do
     f (Array.unsafe_get v.data i)

@@ -1,5 +1,5 @@
 (** Growable arrays, used pervasively by the CDCL solver for the clause
-    database, the trail and the watcher lists. *)
+    database, the trail and the conflict-analysis buffers. *)
 
 type 'a t
 
@@ -24,10 +24,6 @@ val clear : 'a t -> unit
 
 val shrink : 'a t -> int -> unit
 (** [shrink v n] drops elements so that [size v = n]. *)
-
-val swap_remove : 'a t -> int -> unit
-(** [swap_remove v i] removes element [i] by swapping in the last element;
-    O(1), does not preserve order. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

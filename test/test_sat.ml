@@ -55,11 +55,6 @@ let test_vec_push_pop () =
   check_int "shrink" 10 (Sat.Vec.size v);
   check_int "fold sum" 55 (Sat.Vec.fold ( + ) 0 v)
 
-let test_vec_swap_remove () =
-  let v = Sat.Vec.of_list ~dummy:0 [ 1; 2; 3; 4 ] in
-  Sat.Vec.swap_remove v 1;
-  Alcotest.(check (list int)) "swap_remove" [ 1; 4; 3 ] (Sat.Vec.to_list v)
-
 let test_vec_sort () =
   let v = Sat.Vec.of_list ~dummy:0 [ 3; 1; 2 ] in
   Sat.Vec.sort compare v;
@@ -339,12 +334,104 @@ let test_certified_sat_model () =
 
 let test_certified_with_deletions () =
   (* big enough to trigger reduce_db, so the Delete path is exercised *)
-  let s = Sat.Solver.of_problem ~proof:true (Sat.Gen.pigeonhole 6) in
+  let s = Sat.Solver.of_problem ~proof:true (Sat.Gen.pigeonhole 7) in
   (match Sat.Solver.solve ~certify:true s with
   | Sat.Solver.Unsat -> ()
-  | Sat.Solver.Sat _ -> Alcotest.fail "php6 must be unsat");
+  | Sat.Solver.Sat _ -> Alcotest.fail "php7 must be unsat");
   match Sat.Solver.last_certification s with
-  | Some r -> check "substantial proof" true (r.Sat.Proof.additions > 100)
+  | Some r ->
+      check "substantial proof" true (r.Sat.Proof.additions > 100);
+      check "deletions were certified" true (r.Sat.Proof.deletions > 0)
+  | None -> Alcotest.fail "certification report missing"
+
+(* One warm proof-logging session on php7 behind selectors: [sel]
+   guards every "pigeon sits somewhere" clause, [pin] forces pigeon 1
+   into hole 1. The [sel] cells learn thousands of clauses, so
+   [reduce_db] runs with assumptions on the trail and with reasons
+   left over from earlier cells. Every verdict must certify and agree
+   with a fresh solver's. *)
+let test_warm_session_crosses_reduce_db () =
+  let php = Sat.Gen.pigeonhole 7 in
+  let sel = php.Sat.Cnf.num_vars + 1 and pin = php.Sat.Cnf.num_vars + 2 in
+  let p =
+    List.fold_left
+      (fun p c ->
+        let c = Array.to_list c in
+        if List.for_all Sat.Cnf.is_pos c then
+          Sat.Cnf.add_clause p (Sat.Cnf.neg sel :: c)
+        else Sat.Cnf.add_clause p c)
+      { Sat.Cnf.num_vars = pin; clauses = [] }
+      (List.rev php.Sat.Cnf.clauses)
+  in
+  let p = Sat.Cnf.add_clause p [ Sat.Cnf.neg pin; Sat.Cnf.pos 1 ] in
+  let s = Sat.Solver.of_problem ~proof:true p in
+  let tag = function Sat.Solver.Sat _ -> "sat" | Sat.Solver.Unsat -> "unsat" in
+  let cells =
+    [
+      ([ Sat.Cnf.pos sel ], "unsat");
+      ([ Sat.Cnf.neg sel; Sat.Cnf.pos pin ], "sat");
+      ([ Sat.Cnf.pos pin; Sat.Cnf.pos sel ], "unsat");
+      ([ Sat.Cnf.neg sel; Sat.Cnf.neg pin ], "sat");
+      ([ Sat.Cnf.pos sel; Sat.Cnf.neg pin ], "unsat");
+    ]
+  in
+  List.iter
+    (fun (assumptions, expected) ->
+      let warm = Sat.Solver.solve_assuming_certified ~assumptions s in
+      let fresh = Sat.Solver.solve ~assumptions (Sat.Solver.of_problem p) in
+      Alcotest.(check string) "warm verdict" expected (tag warm);
+      Alcotest.(check string) "fresh verdict agrees" (tag fresh) (tag warm);
+      match Sat.Solver.last_certification s with
+      | Some r ->
+          check "certificate kind matches" true
+            (r.Sat.Proof.kind
+            = if expected = "sat" then `Model else `Refutation)
+      | None -> Alcotest.fail "certification report missing")
+    cells;
+  check "session learnt more than 1000 clauses" true
+    (List.length
+       (List.filter
+          (function Sat.Proof.Add _ -> true | Sat.Proof.Delete _ -> false)
+          (Sat.Solver.proof_steps s))
+    > 1000);
+  check "the trail crossed reduce_db" true
+    (List.exists
+       (function Sat.Proof.Delete _ -> true | Sat.Proof.Add _ -> false)
+       (Sat.Solver.proof_steps s))
+
+(* Recursive minimization. Deciding -1 implies -2 and then -3 (a two-step
+   chain); the next decision ends in a conflict whose first-UIP clause is
+   (d | 1 | 3), for d the level-2 decision variable. Literal 3 is implied
+   by 1 through 2, which is not in the clause, so a one-level check keeps
+   it and only the recursive one drops it. The closing conflicts are at
+   level 1 and learn units, which do not count in [learnt_literals]. *)
+let test_recursive_minimization () =
+  let c lits = Array.of_list (List.map Sat.Cnf.lit_of_int lits) in
+  let p =
+    {
+      Sat.Cnf.num_vars = 6;
+      clauses =
+        List.rev
+          [
+            c [ 1; -2 ];
+            c [ 2; -3 ];
+            c [ 5; 1; -4 ];
+            c [ 5; 3; 4 ];
+            c [ -5; 1; 6 ];
+            c [ -5; 1; -6 ];
+            c [ -1; 2 ];
+            c [ -1; -2 ];
+          ];
+    }
+  in
+  let s = Sat.Solver.of_problem ~proof:true p in
+  (match Sat.Solver.solve ~certify:true s with
+  | Sat.Solver.Unsat -> ()
+  | Sat.Solver.Sat _ -> Alcotest.fail "the instance is unsatisfiable");
+  check_int "one binary learnt clause" 2
+    (Sat.Solver.stats s).Sat.Solver.learnt_literals;
+  match Sat.Solver.last_certification s with
+  | Some r -> check "refutation certified" true (r.Sat.Proof.kind = `Refutation)
   | None -> Alcotest.fail "certification report missing"
 
 let test_corrupted_proof_rejected () =
@@ -675,7 +762,6 @@ let suite =
     Alcotest.test_case "problem building" `Quick test_problem_building;
     Alcotest.test_case "check_model" `Quick test_check_model;
     Alcotest.test_case "vec push/pop/shrink" `Quick test_vec_push_pop;
-    Alcotest.test_case "vec swap_remove" `Quick test_vec_swap_remove;
     Alcotest.test_case "vec sort" `Quick test_vec_sort;
     Alcotest.test_case "vec bounds checked" `Quick test_vec_bounds;
     Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
@@ -715,6 +801,9 @@ let suite =
     Alcotest.test_case "warm retry beats cold solve" `Quick test_warm_retry_fewer_conflicts;
     Alcotest.test_case "failed_assumptions core" `Quick test_failed_assumptions;
     Alcotest.test_case "certified solve under assumptions" `Quick test_solve_assuming_certified;
+    Alcotest.test_case "warm session crosses reduce_db" `Quick
+      test_warm_session_crosses_reduce_db;
+    Alcotest.test_case "recursive clause minimization" `Quick test_recursive_minimization;
     Alcotest.test_case "assumption over a fresh variable" `Quick test_assumption_over_fresh_var;
     QCheck_alcotest.to_alcotest qcheck_solve_bounded_agrees;
     QCheck_alcotest.to_alcotest qcheck_cdcl_vs_dpll;
