@@ -1,26 +1,33 @@
 (* CDCL solver, MiniSat lineage.
 
-   Watching convention: a clause watches its first two literals
-   [lits.(0)] and [lits.(1)]; the clause is registered in the watcher
-   list of the *negation* of each watched literal, so when a literal [p]
-   is enqueued (made true) we visit [watches.(p)] — exactly the clauses
-   in which a watched literal just became false. Each watcher also
-   carries a *blocker*: some other literal of the clause. When the
-   blocker is already true the clause is satisfied and is skipped
-   without touching its literal array.
+   Clause arena: every clause lives in int storage, as a header word
+   (literal count, learnt bit, deleted bit), an activity word (the
+   bits of a non-negative float) and then its literals inline. A
+   clause is named by a [cref], the int offset of its header; [no_cref]
+   means "no clause". The arena grows in chunks that are never copied
+   (a grown single array would keep its old copy live until the GC
+   sweeps it), so a cref carries its chunk index above [chunk_bits]
+   and its offset within the chunk below. Watchers, reasons and the
+   clause lists are therefore int arrays: no store on the hot path
+   pays the write barrier, and visiting a clause loads its words
+   straight from the chunk.
 
-   Reasons are a [clause array] with [dummy_clause] meaning "none"
-   (decisions, assumptions and unit clauses). As in MiniSat they are
-   not cleared on backtrack: [reason.(v)] is meaningful only while [v]
-   is assigned, which is why [locked] also checks that the clause's
-   implied literal [lits.(0)] is still true. *)
+   Watching convention: a clause watches its first two literals; the
+   clause is registered in the watcher list of the *negation* of each
+   watched literal, so when a literal [p] is enqueued (made true) we
+   visit [watches.(p)] — exactly the clauses in which a watched literal
+   just became false. Each watcher also carries a *blocker*: some
+   other literal of the clause. When the blocker is already true the
+   clause is satisfied and is skipped without reading the arena.
 
-type clause = {
-  mutable lits : Cnf.lit array;
-  mutable activity : float;
-  learnt : bool;
-  mutable deleted : bool;
-}
+   Reasons are a cref per variable, [no_cref] for decisions,
+   assumptions and unit clauses. As in MiniSat they are not cleared on
+   backtrack: [reason.(v)] is meaningful only while [v] is assigned,
+   which is why [locked] also checks that the clause's implied literal
+   (its first) is still true. That comparison of crefs is sound because
+   a cref is never reused between two compactions: the arena only
+   appends until [compact] rebuilds it, and [compact] remaps the
+   reasons of assigned variables and clears all the others. *)
 
 type result = Sat of Cnf.model | Unsat
 
@@ -55,16 +62,17 @@ let diversified k =
       seed = k;
     }
 
-let dummy_clause = { lits = [||]; activity = 0.0; learnt = false; deleted = false }
-
-(* One literal's watchers: clause [cls.(i)] with blocker [blk.(i)], for
-   [i < size]. Parallel arrays, so the blocker test reads an int array
-   and never dereferences the clause. *)
-type watchers = {
-  mutable cls : clause array;
-  mutable blk : Cnf.lit array;
-  mutable size : int;
-}
+(* Arena layout. A clause takes [header_words + size] words from offset
+   [base c] of chunk [c lsr chunk_bits]: the header [size lsl 2 lor
+   flags], the activity bits, then the literals. *)
+let no_cref = -1
+let chunk_bits = 32
+let offset_mask = (1 lsl chunk_bits) - 1
+let first_chunk = 1 lsl 12
+let chunk_cap = 1 lsl 20
+let header_words = 2
+let learnt_bit = 1
+let deleted_bit = 2
 
 (* Literal values, one byte per literal. *)
 let v_undef = '\000'
@@ -81,25 +89,33 @@ let mark_failed = '\003'
 
 type t = {
   mutable nvars : int;
-  mutable clauses : clause Vec.t; (* problem clauses *)
-  mutable learnts : clause Vec.t; (* learnt clauses *)
-  mutable watches : watchers array; (* lit-indexed *)
+  (* the clause arena; the last chunk is the one being filled *)
+  mutable chunks : int array array;
+  mutable top : int; (* first free word of the last chunk *)
+  mutable arena_words : int; (* words handed out since the last compaction *)
+  mutable wasted : int; (* of which, words of deleted clauses *)
+  clauses : Vec.t; (* problem clauses *)
+  learnts : Vec.t; (* learnt clauses *)
+  (* lit-indexed watcher lists: interleaved (cref, blocker) pairs in the
+     first [wlen.(l)] words of [watches.(l)] *)
+  mutable watches : int array array;
+  mutable wlen : int array;
   mutable vals : Bytes.t; (* lit-indexed value *)
   mutable level : int array; (* var-indexed *)
-  mutable reason : clause array; (* var-indexed; [dummy_clause] = none *)
+  mutable reason : int array; (* var-indexed cref; [no_cref] = none *)
   mutable polarity : bool array; (* var-indexed saved phase *)
   mutable seen : Bytes.t; (* var-indexed analysis marks *)
-  trail : Cnf.lit Vec.t;
-  trail_lim : int Vec.t;
+  trail : Vec.t; (* literals *)
+  trail_lim : Vec.t;
   mutable qhead : int;
   order : Heap.t;
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable ok : bool; (* false once root-level unsat *)
   (* conflict-analysis buffers, reused across conflicts *)
-  learnt_buf : Cnf.lit Vec.t; (* the clause being learnt, asserting lit first *)
-  to_clear : Cnf.lit Vec.t; (* literals whose [seen] mark must be reset *)
-  min_stack : int Vec.t; (* [lit_redundant]'s (index, literal) pairs *)
+  learnt_buf : Vec.t; (* the clause being learnt, asserting lit first *)
+  to_clear : Vec.t; (* literals whose [seen] mark must be reset *)
+  min_stack : Vec.t; (* [lit_redundant]'s (index, literal) pairs *)
   (* certification *)
   mutable proof : Proof.trail option; (* DRUP trail, when logging is on *)
   mutable originals : Cnf.clause list; (* pre-simplification clauses, reversed *)
@@ -118,29 +134,32 @@ type t = {
 let var_decay = 1.0 /. 0.95
 let clause_decay = 1.0 /. 0.999
 
-let empty_watchers () = { cls = [||]; blk = [||]; size = 0 }
-
 let create () =
   {
     nvars = 0;
-    clauses = Vec.create ~dummy:dummy_clause ();
-    learnts = Vec.create ~dummy:dummy_clause ();
-    watches = [| empty_watchers (); empty_watchers () |];
+    chunks = [| Array.make first_chunk 0 |];
+    top = 0;
+    arena_words = 0;
+    wasted = 0;
+    clauses = Vec.create ();
+    learnts = Vec.create ();
+    watches = [| [||]; [||] |];
+    wlen = [| 0; 0 |];
     vals = Bytes.make 2 v_undef;
     level = Array.make 1 (-1);
-    reason = Array.make 1 dummy_clause;
+    reason = Array.make 1 no_cref;
     polarity = Array.make 1 false;
     seen = Bytes.make 1 mark_none;
-    trail = Vec.create ~dummy:0 ();
-    trail_lim = Vec.create ~dummy:0 ();
+    trail = Vec.create ();
+    trail_lim = Vec.create ();
     qhead = 0;
     order = Heap.create 16;
     var_inc = 1.0;
     cla_inc = 1.0;
     ok = true;
-    learnt_buf = Vec.create ~dummy:0 ();
-    to_clear = Vec.create ~dummy:0 ();
-    min_stack = Vec.create ~dummy:0 ();
+    learnt_buf = Vec.create ();
+    to_clear = Vec.create ();
+    min_stack = Vec.create ();
     proof = None;
     originals = [];
     last_certification = None;
@@ -152,6 +171,54 @@ let create () =
     n_learnt_lits = 0;
     n_clauses_added = 0;
   }
+
+(* ---- the clause arena ---- *)
+
+let chunk s c = s.chunks.(c lsr chunk_bits)
+let base c = c land offset_mask
+let clause_size s c = (chunk s c).(base c) lsr 2
+let is_deleted s c = (chunk s c).(base c) land deleted_bit <> 0
+let lit s c i = (chunk s c).(base c + header_words + i)
+let lits_of s c = Array.sub (chunk s c) (base c + header_words) (clause_size s c)
+
+(* Activities are non-negative floats, so their bits fit in an OCaml
+   int with the (zero) sign bit dropped. The int reads the float's bit
+   62 as its own sign: [activity] masks the sign extension off again,
+   and [activity_key] flips that bit so that keys order like the
+   activities do. *)
+let activity s c =
+  Int64.float_of_bits (Int64.logand (Int64.of_int (chunk s c).(base c + 1)) Int64.max_int)
+
+let activity_key s c = (chunk s c).(base c + 1) lxor min_int
+
+let set_activity s c x =
+  (chunk s c).(base c + 1) <- Int64.to_int (Int64.bits_of_float x)
+
+(* [n] fresh words; a new chunk when the last one is full. *)
+let alloc s n =
+  let ci = Array.length s.chunks - 1 in
+  let last = s.chunks.(ci) in
+  s.arena_words <- s.arena_words + n;
+  if s.top + n <= Array.length last then begin
+    let c = (ci lsl chunk_bits) lor s.top in
+    s.top <- s.top + n;
+    c
+  end
+  else begin
+    let size = max n (min chunk_cap (2 * Array.length last)) in
+    s.chunks <- Array.append s.chunks [| Array.make size 0 |];
+    s.top <- n;
+    (ci + 1) lsl chunk_bits
+  end
+
+(* A clause of [size] literals, activity 0.0 (all-zero bits); the
+   caller writes its literals. *)
+let alloc_clause s size ~learnt =
+  let c = alloc s (header_words + size) in
+  let a = chunk s c and o = base c in
+  a.(o) <- (size lsl 2) lor (if learnt then learnt_bit else 0);
+  a.(o + 1) <- 0;
+  c
 
 let num_vars s = s.nvars
 
@@ -177,10 +244,10 @@ let log_empty s =
   match s.proof with Some t -> Proof.log_add t [||] | None -> ()
 
 let resize_arrays s n =
-  let grow a fill =
+  let grow a fill len =
     let old = Array.length a in
-    if n + 1 > old then begin
-      let b = Array.make (max (n + 1) (2 * old)) fill in
+    if len > old then begin
+      let b = Array.make (max len (2 * old)) fill in
       Array.blit a 0 b 0 old;
       b
     end
@@ -196,19 +263,12 @@ let resize_arrays s n =
     else b
   in
   s.vals <- grow_bytes s.vals ((2 * n) + 2) v_undef;
-  s.level <- grow s.level (-1);
-  s.reason <- grow s.reason dummy_clause;
-  s.polarity <- grow s.polarity false;
+  s.level <- grow s.level (-1) (n + 1);
+  s.reason <- grow s.reason no_cref (n + 1);
+  s.polarity <- grow s.polarity false (n + 1);
   s.seen <- grow_bytes s.seen (n + 1) mark_none;
-  let oldw = Array.length s.watches in
-  if (2 * n) + 2 > oldw then begin
-    let w = Array.make (max ((2 * n) + 2) (2 * oldw)) s.watches.(0) in
-    Array.blit s.watches 0 w 0 oldw;
-    for i = oldw to Array.length w - 1 do
-      w.(i) <- empty_watchers ()
-    done;
-    s.watches <- w
-  end;
+  s.watches <- grow s.watches [||] ((2 * n) + 2);
+  s.wlen <- grow s.wlen 0 ((2 * n) + 2);
   Heap.grow_to s.order n
 
 let ensure_vars s n =
@@ -226,114 +286,110 @@ let new_var s =
 
 let lit_true s l = Bytes.unsafe_get s.vals l = v_true
 let lit_false s l = Bytes.unsafe_get s.vals l = v_false
-let var_of = Cnf.var_of
+(* [Cnf]'s literal encoding, restated so that the hot loops need no
+   cross-module call: [pos v = 2v], [neg v = 2v + 1]. *)
+let var_of l = l lsr 1
+let negate l = l lxor 1
 let decision_level s = Vec.size s.trail_lim
 
 (* Enqueue a literal as true, recording its reason. *)
 let enqueue s l reason =
   let v = var_of l in
   Bytes.unsafe_set s.vals l v_true;
-  Bytes.unsafe_set s.vals (Cnf.negate l) v_false;
+  Bytes.unsafe_set s.vals (negate l) v_false;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   Vec.push s.trail l
 
 let watch s l c blocker =
-  let ws = s.watches.(l) in
-  if ws.size = Array.length ws.cls then begin
-    let cap = max 4 (2 * ws.size) in
-    let cls = Array.make cap dummy_clause and blk = Array.make cap 0 in
-    Array.blit ws.cls 0 cls 0 ws.size;
-    Array.blit ws.blk 0 blk 0 ws.size;
-    ws.cls <- cls;
-    ws.blk <- blk
-  end;
-  Array.unsafe_set ws.cls ws.size c;
-  Array.unsafe_set ws.blk ws.size blocker;
-  ws.size <- ws.size + 1
+  let n = s.wlen.(l) in
+  let ws =
+    let ws = s.watches.(l) in
+    if n < Array.length ws then ws
+    else begin
+      let grown = Array.make (max 8 (2 * n)) 0 in
+      Array.blit ws 0 grown 0 n;
+      s.watches.(l) <- grown;
+      grown
+    end
+  in
+  Array.unsafe_set ws n c;
+  Array.unsafe_set ws (n + 1) blocker;
+  s.wlen.(l) <- n + 2
 
 (* Boolean constraint propagation. Returns the conflicting clause, or
-   [dummy_clause] when there is none.
+   [no_cref] when there is none.
 
-   Each watcher list is compacted in place: [i] reads, [j] writes.
-   A watcher that stays put ([i = j]) is not stored again, since every
-   store of a clause pointer pays the write barrier. *)
+   Each watcher list is compacted in place: [i] reads, [j] writes, two
+   words per watcher. A clause visit normalizes the clause so that the
+   falsified watch sits at literal 1. *)
 let propagate s =
-  let confl = ref dummy_clause in
-  let vals = s.vals in
-  while !confl == dummy_clause && s.qhead < Vec.size s.trail do
+  let confl = ref no_cref in
+  let vals = s.vals and chunks = s.chunks in
+  while !confl = no_cref && s.qhead < Vec.size s.trail do
     let p = Vec.get s.trail s.qhead in
     s.qhead <- s.qhead + 1;
     s.n_propagations <- s.n_propagations + 1;
-    let false_lit = Cnf.negate p in
-    let ws = s.watches.(p) in
-    let cls = ws.cls and blk = ws.blk and n = ws.size in
+    let false_lit = negate p in
+    let ws = s.watches.(p) and n = s.wlen.(p) in
     let i = ref 0 and j = ref 0 in
     while !i < n do
-      let b = Array.unsafe_get blk !i in
+      let c = Array.unsafe_get ws !i and b = Array.unsafe_get ws (!i + 1) in
+      i := !i + 2;
       if Bytes.unsafe_get vals b = v_true then begin
         (* satisfied by its blocker: keep without reading the clause *)
-        if !i <> !j then begin
-          Array.unsafe_set cls !j (Array.unsafe_get cls !i);
-          Array.unsafe_set blk !j b
-        end;
-        incr i;
-        incr j
+        Array.unsafe_set ws !j c;
+        Array.unsafe_set ws (!j + 1) b;
+        j := !j + 2
       end
       else begin
-        let c = Array.unsafe_get cls !i in
-        let moved = !i <> !j in
-        incr i;
-        let lits = c.lits in
-        (* normalize: put the falsified watch at position 1 *)
-        if Array.unsafe_get lits 0 = false_lit then begin
-          Array.unsafe_set lits 0 (Array.unsafe_get lits 1);
-          Array.unsafe_set lits 1 false_lit
+        let a = Array.unsafe_get chunks (c lsr chunk_bits) in
+        let l0 = (c land offset_mask) + header_words in
+        if Array.unsafe_get a l0 = false_lit then begin
+          Array.unsafe_set a l0 (Array.unsafe_get a (l0 + 1));
+          Array.unsafe_set a (l0 + 1) false_lit
         end;
-        let first = Array.unsafe_get lits 0 in
+        let first = Array.unsafe_get a l0 in
         if first <> b && Bytes.unsafe_get vals first = v_true then begin
           (* satisfied by its other watch, which becomes the blocker *)
-          if moved then Array.unsafe_set cls !j c;
-          Array.unsafe_set blk !j first;
-          incr j
+          Array.unsafe_set ws !j c;
+          Array.unsafe_set ws (!j + 1) first;
+          j := !j + 2
         end
         else begin
           (* look for a replacement watch *)
-          let len = Array.length lits in
-          let k = ref 2 in
+          let stop = l0 + (Array.unsafe_get a (l0 - header_words) lsr 2) in
+          let k = ref (l0 + 2) in
           while
-            !k < len && Bytes.unsafe_get vals (Array.unsafe_get lits !k) = v_false
+            !k < stop && Bytes.unsafe_get vals (Array.unsafe_get a !k) = v_false
           do
             incr k
           done;
-          if !k < len then begin
-            let l = Array.unsafe_get lits !k in
-            Array.unsafe_set lits 1 l;
-            Array.unsafe_set lits !k false_lit;
-            watch s (Cnf.negate l) c first
+          if !k < stop then begin
+            let l = Array.unsafe_get a !k in
+            Array.unsafe_set a (l0 + 1) l;
+            Array.unsafe_set a !k false_lit;
+            watch s (negate l) c first
           end
           else begin
             (* unit or conflicting: the watch stays *)
-            if moved then Array.unsafe_set cls !j c;
-            Array.unsafe_set blk !j first;
-            incr j;
+            Array.unsafe_set ws !j c;
+            Array.unsafe_set ws (!j + 1) first;
+            j := !j + 2;
             if Bytes.unsafe_get vals first = v_false then begin
               (* conflict: keep the remaining watchers and drain the queue *)
               confl := c;
               s.qhead <- Vec.size s.trail;
-              while !i < n do
-                Array.unsafe_set cls !j (Array.unsafe_get cls !i);
-                Array.unsafe_set blk !j (Array.unsafe_get blk !i);
-                incr i;
-                incr j
-              done
+              Array.blit ws !i ws !j (n - !i);
+              j := !j + (n - !i);
+              i := n
             end
             else enqueue s first c
           end
         end
       end
     done;
-    ws.size <- !j
+    s.wlen.(p) <- !j
   done;
   !confl
 
@@ -345,9 +401,10 @@ let var_bump s v =
   end
 
 let clause_bump s c =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun c -> c.activity <- c.activity *. 1e-20) s.learnts;
+  let a = activity s c +. s.cla_inc in
+  set_activity s c a;
+  if a > 1e20 then begin
+    Vec.iter (fun c -> set_activity s c (activity s c *. 1e-20)) s.learnts;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
@@ -360,17 +417,18 @@ let clause_bump s c =
    subtree is explored twice. Reason clauses keep their implied literal
    at index 0, hence the scans start at 1. *)
 let lit_redundant s p0 =
-  let seen = s.seen and stack = s.min_stack in
+  let seen = s.seen and stack = s.min_stack and chunks = s.chunks in
   Vec.shrink stack 0;
   let p = ref p0 and i = ref 1 and result = ref true and fin = ref false in
-  let lits = ref s.reason.(var_of p0).lits in
+  let r = ref s.reason.(var_of p0) in
   while not !fin do
-    if !i < Array.length !lits then begin
-      let l = Array.unsafe_get !lits !i in
+    let a = Array.unsafe_get chunks (!r lsr chunk_bits) and o = !r land offset_mask in
+    if !i < Array.unsafe_get a o lsr 2 then begin
+      let l = Array.unsafe_get a (o + header_words + !i) in
       let v = var_of l in
       let m = Bytes.unsafe_get seen v in
       if s.level.(v) = 0 || m = mark_source || m = mark_removable then incr i
-      else if s.reason.(v) == dummy_clause || m = mark_failed then begin
+      else if s.reason.(v) = no_cref || m = mark_failed then begin
         (* [p] and everything it was explored from cannot be removed *)
         Vec.push stack 0;
         Vec.push stack !p;
@@ -390,7 +448,7 @@ let lit_redundant s p0 =
         Vec.push stack !p;
         p := l;
         i := 1;
-        lits := s.reason.(v).lits
+        r := s.reason.(v)
       end
     end
     else begin
@@ -404,7 +462,7 @@ let lit_redundant s p0 =
       else begin
         p := Vec.pop stack;
         i := Vec.pop stack + 1;
-        lits := s.reason.(var_of !p).lits
+        r := s.reason.(var_of !p)
       end
     end
   done;
@@ -426,10 +484,11 @@ let analyze s confl =
   let continue = ref true in
   while !continue do
     let c = !confl in
-    if c.learnt then clause_bump s c;
-    let lits = c.lits in
-    for j = (if !p = -1 then 0 else 1) to Array.length lits - 1 do
-      let q = Array.unsafe_get lits j in
+    let a = chunk s c and o = base c in
+    let header = a.(o) in
+    if header land learnt_bit <> 0 then clause_bump s c;
+    for j = (if !p = -1 then 0 else 1) to (header lsr 2) - 1 do
+      let q = Array.unsafe_get a (o + header_words + j) in
       let v = var_of q in
       if Bytes.unsafe_get seen v = mark_none && s.level.(v) > 0 then begin
         Bytes.unsafe_set seen v mark_source;
@@ -448,7 +507,7 @@ let analyze s confl =
     decr counter;
     if !counter <= 0 then continue := false
   done;
-  Vec.set learnt 0 (Cnf.negate !p);
+  Vec.set learnt 0 (negate !p);
   (* recursive minimization: drop literals implied by the others *)
   let to_clear = s.to_clear in
   Vec.shrink to_clear 0;
@@ -458,7 +517,7 @@ let analyze s confl =
   let kept = ref 1 in
   for i = 1 to Vec.size learnt - 1 do
     let q = Vec.get learnt i in
-    if s.reason.(var_of q) == dummy_clause || not (lit_redundant s q) then begin
+    if s.reason.(var_of q) = no_cref || not (lit_redundant s q) then begin
       Vec.set learnt !kept q;
       incr kept
     end
@@ -488,7 +547,7 @@ let cancel_until s lvl =
       let l = Vec.get s.trail i in
       let v = var_of l in
       Bytes.unsafe_set s.vals l v_undef;
-      Bytes.unsafe_set s.vals (Cnf.negate l) v_undef;
+      Bytes.unsafe_set s.vals (negate l) v_undef;
       s.polarity.(v) <- Cnf.is_pos l;
       Heap.insert s.order v
     done;
@@ -535,8 +594,11 @@ let analyze_final s confl_lits =
       let v = var_of l in
       if Bytes.get seen v <> mark_none then begin
         let r = s.reason.(v) in
-        if r == dummy_clause then (if is_boundary i then core := l :: !core)
-        else Array.iter mark r.lits
+        if r = no_cref then (if is_boundary i then core := l :: !core)
+        else
+          for k = 0 to clause_size s r - 1 do
+            mark (lit s r k)
+          done
       end
     done;
     List.iter (fun v -> Bytes.set seen v mark_none) !marked;
@@ -546,26 +608,39 @@ let analyze_final s confl_lits =
 (* Attach a clause of >= 2 literals to the watch lists, each watch
    blocked by the other watched literal. *)
 let attach s c =
-  watch s (Cnf.negate c.lits.(0)) c c.lits.(1);
-  watch s (Cnf.negate c.lits.(1)) c c.lits.(0)
+  let l0 = lit s c 0 and l1 = lit s c 1 in
+  watch s (negate l0) c l1;
+  watch s (negate l1) c l0
 
 (* Turn [learnt_buf] into a clause (logged to the DRUP trail as a copy)
    and assert its first literal at the current, backjumped, level. *)
 let record_learnt s =
   let learnt = s.learnt_buf in
-  let arr = Array.init (Vec.size learnt) (Vec.get learnt) in
-  (match s.proof with Some t -> Proof.log_add t arr | None -> ());
-  if Array.length arr = 1 then
+  let n = Vec.size learnt in
+  (match s.proof with
+  | Some t -> Proof.log_add t (Array.init n (Vec.get learnt))
+  | None -> ());
+  if n = 1 then
     (* asserting unit: enqueue at the backjumped (root) level *)
-    enqueue s arr.(0) dummy_clause
+    enqueue s (Vec.get learnt 0) no_cref
   else begin
-    let c = { lits = arr; activity = 0.0; learnt = true; deleted = false } in
+    let c = alloc_clause s n ~learnt:true in
+    let a = chunk s c and o = base c + header_words in
+    for i = 0 to n - 1 do
+      a.(o + i) <- Vec.get learnt i
+    done;
     Vec.push s.learnts c;
     attach s c;
     clause_bump s c;
-    s.n_learnt_lits <- s.n_learnt_lits + Array.length arr;
-    enqueue s arr.(0) c
+    s.n_learnt_lits <- s.n_learnt_lits + n;
+    enqueue s (Vec.get learnt 0) c
   end
+
+(* Sorted and deduplicated, a literal's negation is its neighbour
+   ([pos v] and [neg v] differ in the low bit only). *)
+let rec has_complementary_pair = function
+  | a :: (b :: _ as rest) -> b = negate a || has_complementary_pair rest
+  | _ -> false
 
 let add_clause s lits =
   if s.ok then begin
@@ -573,11 +648,8 @@ let add_clause s lits =
     List.iter (fun l -> ensure_vars s (var_of l)) lits;
     if s.proof <> None then s.originals <- Array.of_list lits :: s.originals;
     (* root-level simplification: drop false lits, detect tautology *)
-    let lits = List.sort_uniq compare lits in
-    let tauto =
-      List.exists (fun l -> List.mem (Cnf.negate l) lits) lits
-      || List.exists (lit_true s) lits
-    in
+    let lits = List.sort_uniq Int.compare lits in
+    let tauto = has_complementary_pair lits || List.exists (lit_true s) lits in
     if not tauto then begin
       let lits = List.filter (fun l -> not (lit_false s l)) lits in
       match lits with
@@ -585,59 +657,109 @@ let add_clause s lits =
           s.ok <- false;
           log_empty s
       | [ l ] ->
-          enqueue s l dummy_clause;
-          if propagate s != dummy_clause then begin
+          enqueue s l no_cref;
+          if propagate s <> no_cref then begin
             s.ok <- false;
             log_empty s
           end
       | _ ->
-          let arr = Array.of_list lits in
-          let c = { lits = arr; activity = 0.0; learnt = false; deleted = false } in
+          let c = alloc_clause s (List.length lits) ~learnt:false in
+          let a = chunk s c and o = base c + header_words in
+          List.iteri (fun i l -> a.(o + i) <- l) lits;
           Vec.push s.clauses c;
           attach s c
     end
   end
 
-(* A clause is locked while it is the reason of its implied literal
-   [lits.(0)]. Reasons are not cleared on backtrack, so the literal must
-   also still be true. *)
+(* A clause is locked while it is the reason of its implied literal, its
+   first. Reasons are not cleared on backtrack, so the literal must also
+   still be true. *)
 let locked s c =
-  let l = c.lits.(0) in
-  s.reason.(var_of l) == c && lit_true s l
+  let l = lit s c 0 in
+  s.reason.(var_of l) = c && lit_true s l
+
+(* Rebuild the arena from the live clauses alone, problem clauses first,
+   each in list order. Every old copy's activity word is overwritten
+   with its new cref, which then remaps the watchers and the reasons of
+   assigned variables. The reasons of unassigned variables are stale
+   crefs that the new arena may hand out again, so they are cleared. *)
+let compact s =
+  let old = s.chunks in
+  let live = s.arena_words - s.wasted in
+  s.chunks <- [| Array.make (max first_chunk (min chunk_cap live)) 0 |];
+  s.top <- 0;
+  s.arena_words <- 0;
+  s.wasted <- 0;
+  let forward c = old.(c lsr chunk_bits).(base c + 1) in
+  let move v =
+    for i = 0 to Vec.size v - 1 do
+      let c = Vec.get v i in
+      let a = old.(c lsr chunk_bits) and o = base c in
+      let words = header_words + (a.(o) lsr 2) in
+      let c' = alloc s words in
+      Array.blit a o (chunk s c') (base c') words;
+      a.(o + 1) <- c';
+      Vec.set v i c'
+    done
+  in
+  move s.clauses;
+  move s.learnts;
+  Array.iteri
+    (fun l ws ->
+      let k = ref 0 in
+      while !k < s.wlen.(l) do
+        ws.(!k) <- forward ws.(!k);
+        k := !k + 2
+      done)
+    s.watches;
+  for v = 1 to s.nvars do
+    let r = s.reason.(v) in
+    s.reason.(v) <-
+      (if r <> no_cref && Bytes.get s.vals (Cnf.pos v) <> v_undef then forward r
+       else no_cref)
+  done
 
 (* Reduce the learnt-clause database: drop the less active half, keeping
    binary clauses and clauses that are the current reason of an
-   assignment, then purge the dropped clauses from the watcher lists. *)
+   assignment, then purge the dropped clauses from the watcher lists.
+   Each deletion is logged to the DRUP trail while its literals are
+   still in the arena; once deleted words make up half of it, the arena
+   is compacted. *)
 let reduce_db s =
-  Vec.sort (fun a b -> Float.compare a.activity b.activity) s.learnts;
+  Vec.sort (fun a b -> Int.compare (activity_key s a) (activity_key s b)) s.learnts;
   let n = Vec.size s.learnts in
-  let keep = Vec.create ~dummy:dummy_clause () in
-  Vec.iteri
-    (fun i c ->
-      if i < n / 2 && (not (locked s c)) && Array.length c.lits > 2 then begin
-        c.deleted <- true;
-        match s.proof with
-        | Some t -> Proof.log_delete t c.lits
-        | None -> ()
-      end
-      else Vec.push keep c)
-    s.learnts;
-  s.learnts <- keep;
-  Array.iter
-    (fun ws ->
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let c = Vec.get s.learnts i in
+    let size = clause_size s c in
+    if i < n / 2 && (not (locked s c)) && size > 2 then begin
+      (match s.proof with
+      | Some t -> Proof.log_delete t (lits_of s c)
+      | None -> ());
+      let a = chunk s c in
+      a.(base c) <- a.(base c) lor deleted_bit;
+      s.wasted <- s.wasted + header_words + size
+    end
+    else begin
+      Vec.set s.learnts !kept c;
+      incr kept
+    end
+  done;
+  Vec.shrink s.learnts !kept;
+  Array.iteri
+    (fun l ws ->
       let j = ref 0 in
-      for i = 0 to ws.size - 1 do
-        let c = ws.cls.(i) in
-        if not c.deleted then begin
-          ws.cls.(!j) <- c;
-          ws.blk.(!j) <- ws.blk.(i);
-          incr j
+      for i = 0 to (s.wlen.(l) / 2) - 1 do
+        let c = ws.(2 * i) in
+        if not (is_deleted s c) then begin
+          ws.(!j) <- c;
+          ws.(!j + 1) <- ws.((2 * i) + 1);
+          j := !j + 2
         end
       done;
-      (* past [size] too: a conflict leaves stale copies there *)
-      Array.fill ws.cls !j (Array.length ws.cls - !j) dummy_clause;
-      ws.size <- !j)
-    s.watches
+      s.wlen.(l) <- !j)
+    s.watches;
+  if 2 * s.wasted > s.arena_words then compact s
 
 (* The next decision literal, or [-1] when every variable is assigned. *)
 let pick_branch_lit s =
@@ -695,7 +817,7 @@ let solve_core ~assumptions ~budget ~config ~stop s =
     List.iter (fun l -> ensure_vars s (var_of l)) assumptions;
     cancel_until s 0;
     if config <> default_config then diversify s config;
-    if propagate s != dummy_clause then begin
+    if propagate s <> no_cref then begin
       s.ok <- false;
       log_empty s;
       Decided Unsat
@@ -718,9 +840,9 @@ let solve_core ~assumptions ~budget ~config ~stop s =
               Some (l :: analyze_final s [| l |])
             else begin
               Vec.push s.trail_lim (Vec.size s.trail);
-              enqueue s l dummy_clause;
+              enqueue s l no_cref;
               let c = propagate s in
-              if c != dummy_clause then Some (analyze_final s c.lits)
+              if c <> no_cref then Some (analyze_final s (lits_of s c))
               else push_assumptions rest
             end
       in
@@ -750,7 +872,7 @@ let solve_core ~assumptions ~budget ~config ~stop s =
               result := Some (Unknown { reason; conflicts; propagations })
           | Netsim.Budget.Within ->
               let confl = propagate s in
-              if confl != dummy_clause then begin
+              if confl <> no_cref then begin
                 s.n_conflicts <- s.n_conflicts + 1;
                 incr conflicts_since_restart;
                 if decision_level s <= assumption_level then begin
@@ -768,7 +890,7 @@ let solve_core ~assumptions ~budget ~config ~stop s =
                     s.ok <- false;
                     log_empty s
                   end
-                  else s.conflict_core <- analyze_final s confl.lits;
+                  else s.conflict_core <- analyze_final s (lits_of s confl);
                   cancel_until s 0;
                   result := Some (Decided Unsat)
                 end
@@ -798,13 +920,15 @@ let solve_core ~assumptions ~budget ~config ~stop s =
                 if l < 0 then begin
                   let m = extract_model s in
                   cancel_until s 0;
-                  assert (Cnf.check_model m (Vec.fold (fun acc c -> c.lits :: acc) [] s.clauses));
+                  assert (
+                    Cnf.check_model m
+                      (List.init (Vec.size s.clauses) (fun i -> lits_of s (Vec.get s.clauses i))));
                   result := Some (Decided (Sat m))
                 end
                 else begin
                   s.n_decisions <- s.n_decisions + 1;
                   Vec.push s.trail_lim (Vec.size s.trail);
-                  enqueue s l dummy_clause
+                  enqueue s l no_cref
                 end
               end
         done;

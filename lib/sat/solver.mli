@@ -9,7 +9,16 @@
     activity-based learnt-clause database reduction. This is the engine
     under the relational-logic translation ({!Relalg}) and hence under
     every Alloy-lite [check]/[run] command, mirroring the Alloy
-    Analyzer's use of MiniSat via Kodkod. *)
+    Analyzer's use of MiniSat via Kodkod.
+
+    Clauses live in a MiniSat-style arena of int words — a header
+    (size, learnt and deleted bits), an activity word, then the
+    literals inline — and are named by [cref]s, int offsets into it.
+    The arena grows in chunks that are never copied; it is compacted
+    after a database reduction once deleted clauses fill half of it,
+    which remaps every cref the solver holds. Watcher lists, reasons,
+    the trail and the clause lists are all int arrays, so the hot
+    loops pay no write barrier. *)
 
 type t
 

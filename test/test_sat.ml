@@ -41,29 +41,48 @@ let test_check_model () =
 
 (* ---- Vec ---- *)
 
+let vec_of_list xs =
+  let v = Sat.Vec.create () in
+  List.iter (Sat.Vec.push v) xs;
+  v
+
+let vec_to_list v = List.init (Sat.Vec.size v) (Sat.Vec.get v)
+
 let test_vec_push_pop () =
-  let v = Sat.Vec.create ~dummy:0 () in
+  let v = Sat.Vec.create () in
   for i = 1 to 100 do
     Sat.Vec.push v i
   done;
   check_int "size" 100 (Sat.Vec.size v);
   check_int "get" 42 (Sat.Vec.get v 41);
-  check_int "last" 100 (Sat.Vec.last v);
+  Sat.Vec.set v 41 (-42);
+  check_int "set" (-42) (Sat.Vec.get v 41);
   check_int "pop" 100 (Sat.Vec.pop v);
   check_int "size after pop" 99 (Sat.Vec.size v);
   Sat.Vec.shrink v 10;
   check_int "shrink" 10 (Sat.Vec.size v);
-  check_int "fold sum" 55 (Sat.Vec.fold ( + ) 0 v)
+  let sum = ref 0 in
+  Sat.Vec.iter (fun x -> sum := !sum + x) v;
+  check_int "iter sum" 55 !sum;
+  Sat.Vec.shrink v 0;
+  check "empty" true (Sat.Vec.is_empty v);
+  Sat.Vec.push v 7;
+  check_int "push after shrink" 7 (Sat.Vec.get v 0)
 
 let test_vec_sort () =
-  let v = Sat.Vec.of_list ~dummy:0 [ 3; 1; 2 ] in
-  Sat.Vec.sort compare v;
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (Sat.Vec.to_list v)
+  let v = vec_of_list [ 3; 1; 2 ] in
+  Sat.Vec.sort Int.compare v;
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (vec_to_list v)
 
 let test_vec_bounds () =
-  let v = Sat.Vec.of_list ~dummy:0 [ 1 ] in
+  let v = vec_of_list [ 1 ] in
   Alcotest.check_raises "get out of range" (Invalid_argument "Vec.get")
-    (fun () -> ignore (Sat.Vec.get v 1))
+    (fun () -> ignore (Sat.Vec.get v 1));
+  Alcotest.check_raises "set out of range" (Invalid_argument "Vec.set")
+    (fun () -> Sat.Vec.set v (-1) 0);
+  ignore (Sat.Vec.pop v);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Vec.pop")
+    (fun () -> ignore (Sat.Vec.pop v))
 
 (* ---- Heap ---- *)
 
@@ -344,13 +363,10 @@ let test_certified_with_deletions () =
       check "deletions were certified" true (r.Sat.Proof.deletions > 0)
   | None -> Alcotest.fail "certification report missing"
 
-(* One warm proof-logging session on php7 behind selectors: [sel]
-   guards every "pigeon sits somewhere" clause, [pin] forces pigeon 1
-   into hole 1. The [sel] cells learn thousands of clauses, so
-   [reduce_db] runs with assumptions on the trail and with reasons
-   left over from earlier cells. Every verdict must certify and agree
-   with a fresh solver's. *)
-let test_warm_session_crosses_reduce_db () =
+(* php7 behind selectors: [sel] guards every "pigeon sits somewhere"
+   clause, [pin] forces pigeon 1 into hole 1. Returns the problem,
+   [sel] and [pin]. *)
+let php7_behind_selectors () =
   let php = Sat.Gen.pigeonhole 7 in
   let sel = php.Sat.Cnf.num_vars + 1 and pin = php.Sat.Cnf.num_vars + 2 in
   let p =
@@ -363,9 +379,35 @@ let test_warm_session_crosses_reduce_db () =
       { Sat.Cnf.num_vars = pin; clauses = [] }
       (List.rev php.Sat.Cnf.clauses)
   in
-  let p = Sat.Cnf.add_clause p [ Sat.Cnf.neg pin; Sat.Cnf.pos 1 ] in
+  (Sat.Cnf.add_clause p [ Sat.Cnf.neg pin; Sat.Cnf.pos 1 ], sel, pin)
+
+let verdict_tag = function Sat.Solver.Sat _ -> "sat" | Sat.Solver.Unsat -> "unsat"
+
+(* Solves each cell on the warm session [s] with a certificate and on a
+   fresh solver over [p]; both must give the expected verdict. *)
+let certified_cells s p cells =
+  List.iter
+    (fun (assumptions, expected) ->
+      let warm = Sat.Solver.solve_assuming_certified ~assumptions s in
+      let fresh = Sat.Solver.solve ~assumptions (Sat.Solver.of_problem p) in
+      Alcotest.(check string) "warm verdict" expected (verdict_tag warm);
+      Alcotest.(check string) "fresh verdict agrees" (verdict_tag fresh)
+        (verdict_tag warm);
+      match Sat.Solver.last_certification s with
+      | Some r ->
+          check "certificate kind matches" true
+            (r.Sat.Proof.kind
+            = if expected = "sat" then `Model else `Refutation)
+      | None -> Alcotest.fail "certification report missing")
+    cells
+
+(* One warm proof-logging session on php7 behind selectors. The [sel]
+   cells learn thousands of clauses, so [reduce_db] runs with
+   assumptions on the trail and with reasons left over from earlier
+   cells. Every verdict must certify and agree with a fresh solver's. *)
+let test_warm_session_crosses_reduce_db () =
+  let p, sel, pin = php7_behind_selectors () in
   let s = Sat.Solver.of_problem ~proof:true p in
-  let tag = function Sat.Solver.Sat _ -> "sat" | Sat.Solver.Unsat -> "unsat" in
   let cells =
     [
       ([ Sat.Cnf.pos sel ], "unsat");
@@ -375,19 +417,7 @@ let test_warm_session_crosses_reduce_db () =
       ([ Sat.Cnf.pos sel; Sat.Cnf.neg pin ], "unsat");
     ]
   in
-  List.iter
-    (fun (assumptions, expected) ->
-      let warm = Sat.Solver.solve_assuming_certified ~assumptions s in
-      let fresh = Sat.Solver.solve ~assumptions (Sat.Solver.of_problem p) in
-      Alcotest.(check string) "warm verdict" expected (tag warm);
-      Alcotest.(check string) "fresh verdict agrees" (tag fresh) (tag warm);
-      match Sat.Solver.last_certification s with
-      | Some r ->
-          check "certificate kind matches" true
-            (r.Sat.Proof.kind
-            = if expected = "sat" then `Model else `Refutation)
-      | None -> Alcotest.fail "certification report missing")
-    cells;
+  certified_cells s p cells;
   check "session learnt more than 1000 clauses" true
     (List.length
        (List.filter
@@ -398,6 +428,35 @@ let test_warm_session_crosses_reduce_db () =
     (List.exists
        (function Sat.Proof.Delete _ -> true | Sat.Proof.Add _ -> false)
        (Sat.Solver.proof_steps s))
+
+(* The clause arena is compacted after a [reduce_db] once deleted
+   clauses fill half of it, and compaction moves every live clause: the
+   watchers, the clause lists and the reasons of assigned variables are
+   remapped to the new crefs. This session alternates the php7 selector
+   cells so that [reduce_db] runs at least five times (one batch of
+   Delete steps each) and the arena is compacted both mid-search, with
+   assumptions and reasons on the trail, and between cells. A watcher
+   or a reason left pointing into the old arena would corrupt
+   propagation or conflict analysis, which the DRUP check, the model
+   check and the fresh-solver comparison catch. *)
+let test_warm_session_across_compaction () =
+  let p, sel, pin = php7_behind_selectors () in
+  let s = Sat.Solver.of_problem ~proof:true p in
+  let unsat = ([ Sat.Cnf.pos sel; Sat.Cnf.pos pin ], "unsat")
+  and sat = ([ Sat.Cnf.neg sel; Sat.Cnf.pos pin ], "sat")
+  and unsat' = ([ Sat.Cnf.pos sel; Sat.Cnf.neg pin ], "unsat")
+  and sat' = ([ Sat.Cnf.neg sel; Sat.Cnf.neg pin ], "sat") in
+  certified_cells s p [ unsat; sat; unsat'; sat'; unsat; sat'; unsat'; sat ];
+  let steps = Sat.Solver.proof_steps s in
+  let is_delete = function Sat.Proof.Delete _ -> true | Sat.Proof.Add _ -> false in
+  let rec delete_batches prev = function
+    | [] -> 0
+    | step :: rest ->
+        let d = is_delete step in
+        (if d && not prev then 1 else 0) + delete_batches d rest
+  in
+  check "the trail has Delete steps" true (List.exists is_delete steps);
+  check "at least five reduce_db rounds" true (delete_batches false steps >= 5)
 
 (* Recursive minimization. Deciding -1 implies -2 and then -3 (a two-step
    chain); the next decision ends in a conflict whose first-UIP clause is
@@ -803,6 +862,8 @@ let suite =
     Alcotest.test_case "certified solve under assumptions" `Quick test_solve_assuming_certified;
     Alcotest.test_case "warm session crosses reduce_db" `Quick
       test_warm_session_crosses_reduce_db;
+    Alcotest.test_case "certified warm session across arena compaction" `Quick
+      test_warm_session_across_compaction;
     Alcotest.test_case "recursive clause minimization" `Quick test_recursive_minimization;
     Alcotest.test_case "assumption over a fresh variable" `Quick test_assumption_over_fresh_var;
     QCheck_alcotest.to_alcotest qcheck_solve_bounded_agrees;
