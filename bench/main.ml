@@ -34,7 +34,7 @@ let reduced = mode <> Full
 let section title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
 
-(* Timing methodology shared by E11/E12/E15: a discarded warm-up run
+(* Timing methodology shared by E12/E15: a discarded warm-up run
    first (paging in the allocator and code paths used to make whatever
    configuration ran first look slower — the source of the old
    "journaled jobs=1 faster than plain" anomaly), then the
@@ -147,14 +147,6 @@ let run_loss_sweep () =
     !converged !total
 
 (* ------------------------------------------------------------------ *)
-(* E11: the multicore driver — the Result-1/Result-2 policy matrix
-   sharded over a Parallel.Pool, at --jobs 1/2/4, plus a certified
-   portfolio race. Wall-clock speedup only materialises on a machine
-   with that many cores, so the trajectory point records the core count
-   alongside the timings; what is unconditional — and asserted here —
-   is that the verdict table is byte-identical at every job count, and
-   that the portfolio winner's proof survives the independent checker. *)
-
 let json_escape s =
   let b = Buffer.create (String.length s) in
   String.iter
@@ -166,93 +158,6 @@ let json_escape s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
-
-let run_parallel_sweep () =
-  section "E11 - Multicore sweep (policy matrix over a worker pool)";
-  let cores = Parallel.Pool.available_jobs () in
-  let scope =
-    if reduced then
-      { Core.Mca_model.small_scope with Core.Mca_model.states = 4;
-        Core.Mca_model.values = 5 }
-    else Core.Mca_model.small_scope
-  in
-  let scopes =
-    [ (Printf.sprintf "2p2v/%dst" scope.Core.Mca_model.states, scope) ]
-  in
-  let budget () = Netsim.Budget.create ~wall_s:300.0 () in
-  let job_counts = [ 1; 2; 4 ] in
-  let repeats = 3 in
-  ignore
-    (Core.Experiments.run_sweep ~jobs:1 ~seed:1 ~budget:(budget ()) ~scopes ());
-  let walls = List.map (fun j -> (j, ref [])) job_counts in
-  let reports = ref [] in
-  for _ = 1 to repeats do
-    List.iter
-      (fun jobs ->
-        let r =
-          Core.Experiments.run_sweep ~jobs ~seed:1 ~budget:(budget ()) ~scopes ()
-        in
-        let acc = List.assoc jobs walls in
-        acc := r.Core.Experiments.sweep_wall :: !acc;
-        reports := (jobs, r) :: !reports)
-      job_counts
-  done;
-  let wall jobs = median !(List.assoc jobs walls) in
-  let runs =
-    List.map (fun jobs -> (jobs, List.assoc jobs !reports)) job_counts
-  in
-  List.iter
-    (fun jobs ->
-      Format.printf "  --jobs %d: wall %.2fs (median of %d)@." jobs (wall jobs)
-        repeats)
-    job_counts;
-  let canonical (_, r) = Core.Experiments.render_sweep r in
-  let reference = canonical (List.hd runs) in
-  let identical =
-    List.for_all (fun (_, r) -> Core.Experiments.render_sweep r = reference)
-      !reports
-  in
-  if not identical then failwith "E11: sweep verdicts differ across job counts";
-  let speedup = wall 1 /. wall 4 in
-  Format.printf "  verdicts identical across job counts: true@.";
-  Format.printf "  speedup (jobs 1 -> 4): %.2fx on %d core(s)@." speedup cores;
-  (* certified portfolio: the race winner's DRUP trail must pass the
-     independent checker, exactly as in sequential --certify runs *)
-  let verdict =
-    Sat.Portfolio.solve ~jobs:(min 4 (max 2 cores)) ~certify:true
-      (Sat.Gen.pigeonhole 6)
-  in
-  let cert_ok =
-    match (verdict.Sat.Portfolio.result, verdict.Sat.Portfolio.certification) with
-    | Sat.Solver.Decided Sat.Solver.Unsat, Some _ -> true
-    | _ -> false
-  in
-  if not cert_ok then failwith "E11: portfolio certification failed";
-  Format.printf "  portfolio winner %s certified: true@."
-    (match verdict.Sat.Portfolio.winner with Some w -> w | None -> "?");
-  (* the BENCH trajectory point *)
-  let oc = open_out "BENCH_E11.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E11-multicore-sweep\",\n";
-  p "  \"cores\": %d,\n" cores;
-  p "  \"scope\": \"%s\",\n" (json_escape (fst (List.hd scopes)));
-  p "  \"cells\": %d,\n"
-    (List.length (snd (List.hd runs)).Core.Experiments.cells);
-  p "  \"repeats\": %d,\n" repeats;
-  p "  \"wall_seconds_median\": {%s},\n"
-    (String.concat ", "
-       (List.map (fun j -> Printf.sprintf "\"jobs_%d\": %.3f" j (wall j))
-          job_counts));
-  p "  \"speedup_jobs1_over_jobs4\": %.3f,\n" speedup;
-  p "  \"verdicts_identical_across_jobs\": %b,\n" identical;
-  p "  \"portfolio_winner\": \"%s\",\n"
-    (json_escape
-       (match verdict.Sat.Portfolio.winner with Some w -> w | None -> ""));
-  p "  \"portfolio_certified\": %b\n" cert_ok;
-  p "}\n";
-  close_out oc;
-  Format.printf "  wrote BENCH_E11.json@."
 
 (* ------------------------------------------------------------------ *)
 (* E12: crash-safe sweeps — what the write-ahead journal costs (every
@@ -361,15 +266,19 @@ let run_crashsafe_sweep () =
       Format.printf "  wrote BENCH_E12.json@.")
 
 (* ------------------------------------------------------------------ *)
-(* E15: the scaling sweep — what the shared translation and the
-   group-commit journal bought. One translation per scope is built up
-   front and every policy cell solves it under three selector
-   assumptions (no per-cell build/translate), and the worker pool caps
-   its domain count at the available cores; together these are the fix
-   for the BENCH_E11 regression where --jobs 4 ran at 0.47x the speed
-   of --jobs 1. The journal is measured with group commit (one fsync
-   per batch instead of per cell) against the plain run. Methodology as
-   in E11/E12: warm-up, interleaved configurations, medians. *)
+(* E15: the scaling sweep — the policy matrix over a worker pool at
+   --jobs 1/2/4, and what the group-commit journal costs. One
+   translation per scope is built up front and every policy cell solves
+   it under three selector assumptions (no per-cell build/translate),
+   and the worker pool caps its domain count at the available cores;
+   together these fixed an old regression where --jobs 4 ran at 0.47x
+   the speed of --jobs 1. Verdicts must be identical at every job
+   count. The primary scope is 2p2v/6st, the one whose SAT grid is the
+   paper's table: a sweep there takes seconds, so domain start-up and
+   fsync costs no longer decide the ratios. The journal is measured
+   with group commit (one fsync per batch instead of per cell) against
+   the plain run. Methodology as in E12: warm-up, interleaved
+   configurations, medians. *)
 
 let run_scaling_sweep () =
   section "E15 - Scaling sweep (shared translation, group-commit journal)";
@@ -378,12 +287,16 @@ let run_scaling_sweep () =
     { Core.Mca_model.small_scope with Core.Mca_model.states = 4;
       Core.Mca_model.values = 5 }
   in
+  let scope_paper =
+    { Core.Mca_model.small_scope with Core.Mca_model.states = 6;
+      Core.Mca_model.values = 6 }
+  in
   let scope_3p2v =
     { Core.Mca_model.pnodes = 3; vnodes = 2; states = 3; values = 4;
       bitwidth = 4 }
   in
   let measured_scopes =
-    ("2p2v/4st", scope_2p2v, 5)
+    ("2p2v/6st", scope_paper, 5)
     :: (if reduced then [] else [ ("3p2v/3st", scope_3p2v, 3) ])
   in
   let budget () = Netsim.Budget.create ~wall_s:600.0 () in
@@ -467,11 +380,13 @@ let run_scaling_sweep () =
     "  journal (group commit, flush_every=%d, --jobs 2): plain %.2fs, \
      journaled %.2fs (overhead %+.1f%%)@."
     flush_every wp wj overhead_pct;
-  (* the shared translation's certified path: the DRUP certificate must
-     cover the assumed (selector-fixed) problem and pass the checker *)
+  (* the shared translation's certified path, on a fresh session at
+     2p2v/4st: the DRUP certificate must cover the assumed
+     (selector-fixed) problem and pass the checker *)
   let shared = Core.Mca_model.build_shared Core.Mca_model.Efficient scope_2p2v in
   let cert =
-    Core.Mca_model.check_consensus_shared_certified shared
+    Core.Mca_model.check_consensus_incremental_certified
+      (Core.Mca_model.incremental_session ~certify:true shared)
       Core.Mca_model.honest_submodular
   in
   let drup_ok =
@@ -481,7 +396,7 @@ let run_scaling_sweep () =
     | _ -> false
   in
   if not drup_ok then failwith "E15: shared-translation DRUP check failed";
-  Format.printf "  shared translation certified (DRUP, selector units): true@.";
+  Format.printf "  shared translation certified (DRUP, selector assumptions): true@.";
   let oc = open_out "BENCH_E15.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -517,15 +432,16 @@ let run_scaling_sweep () =
 (* ------------------------------------------------------------------ *)
 (* E17: the incremental matrix — one warm session solving all six
    policy cells of the shared translation, against six independent
-   fresh-solver solves of the same translation. The session amortizes
+   fresh-session solves of the same translation. The session amortizes
    watch-list construction, variable activities and learnt clauses
    across cells, so the whole matrix should come in under the
    independent cost (the CI smoke gate asks for <= 0.9x). Alongside
    the wall clocks: per-cell verdict identity every round, the session
    solver's lifetime counters, and the certified 3p2v differential pin
-   — the warm certified path must agree with the fresh certified path
-   on every cell and carry a checked DRUP/model certificate, without
-   ever asserting selector units as clauses into the warm solver. *)
+   — the warm certified session must agree with a fresh certified
+   session on every cell and carry a checked DRUP/model certificate,
+   without ever asserting selector units as clauses into the warm
+   solver. *)
 
 let run_incremental_matrix () =
   section "E17 - Incremental matrix (warm session vs independent solves)";
@@ -553,7 +469,8 @@ let run_incremental_matrix () =
       (fun (name, p) ->
         ( name,
           tag_of
-            (Core.Mca_model.check_consensus_shared ~budget:(budget ()) shared
+            (Core.Mca_model.check_consensus_incremental ~budget:(budget ())
+               (Core.Mca_model.incremental_session shared)
                p) ))
       policies
   in
@@ -618,7 +535,9 @@ let run_incremental_matrix () =
             certified_session p
         in
         let fresh =
-          Core.Mca_model.check_consensus_shared_certified shared_3p2v p
+          Core.Mca_model.check_consensus_incremental_certified
+            (Core.Mca_model.incremental_session ~certify:true shared_3p2v)
+            p
         in
         let verdict_agrees =
           match
@@ -1472,7 +1391,6 @@ let () =
       Format.printf "MCA verification library — benchmark & experiment harness@.";
       Format.printf "(%s mode)@." (mode_name mode);
       run_experiments ();
-      run_parallel_sweep ();
       run_crashsafe_sweep ();
       ignore (run_scaling_sweep () : bool);
       ignore (run_incremental_matrix () : bool);

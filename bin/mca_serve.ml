@@ -328,8 +328,8 @@ let term =
   let trip_after =
     Arg.(value & opt int 3
          & info [ "trip-after" ]
-             ~doc:"circuit breaker: consecutive backend timeouts before a \
-                   ladder rung is skipped while it cools off (server)"
+             ~doc:"circuit breaker: consecutive CDCL timeouts before the \
+                   ladder's CDCL rung is skipped while it cools off (server)"
              ~docv:"N")
   in
   let max_spec_bytes =

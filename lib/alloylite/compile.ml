@@ -245,20 +245,6 @@ let prepare model scope =
   in
   { model; scope; universe; bounds; facts; sig_atoms }
 
-let int_atom c n =
-  match Scope.int_range c.scope with
-  | None -> invalid_arg "Compile.int_atom: scope has no bitwidth"
-  | Some (lo, hi) ->
-      if n < lo || n > hi then
-        invalid_arg
-          (Printf.sprintf "Compile.int_atom: %d outside [%d,%d]" n lo hi)
-      else
-        (* the Int atom is named by its decimal value; build a singleton
-           via comprehension over Int *)
-        Ast.compr
-          [ ("n", Ast.rel "Int") ]
-          (Ast.( =! ) (Ast.sum_over (Ast.v "n")) (Ast.i n))
-
 type outcome = Translate.outcome = Sat of Instance.t | Unsat
 
 let run_formula ?symmetry c f =
@@ -271,13 +257,10 @@ let run_pred ?symmetry c name =
       let decls = List.map (fun (x, s) -> (x, Ast.rel s)) p.Model.params in
       run_formula ?symmetry c (Ast.exists decls p.Model.body)
 
-let check_formula ?symmetry c f =
-  Translate.check ?symmetry c.bounds ~assertion:f ~facts:c.facts
-
 let check ?symmetry c name =
   match Model.find_assert c.model name with
   | None -> invalid_arg (Printf.sprintf "Compile.check: unknown assertion %s" name)
-  | Some f -> check_formula ?symmetry c f
+  | Some f -> Translate.check ?symmetry c.bounds ~assertion:f ~facts:c.facts
 
 let check_formula_bounded ?symmetry ?stop ~budget c f =
   Translate.check_bounded ?symmetry ?stop ~budget c.bounds ~assertion:f

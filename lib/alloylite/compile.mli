@@ -32,11 +32,6 @@ val prepare : Model.t -> Scope.t -> t
 (** Validates and compiles. Raises [Failure] with the validation message
     on an ill-formed model. *)
 
-val int_atom : t -> int -> Relalg.Ast.expr
-(** [int_atom c n] is the singleton relation holding the Int atom of
-    value [n]. Raises [Invalid_argument] when [n] is outside the
-    bitwidth range or no bitwidth was given. *)
-
 type outcome = Relalg.Translate.outcome = Sat of Relalg.Instance.t | Unsat
 
 val run_formula : ?symmetry:bool -> t -> Relalg.Ast.formula -> outcome
@@ -46,9 +41,6 @@ val run_pred : ?symmetry:bool -> t -> string -> outcome
 (** [run_pred c p] existentially closes predicate [p] over its parameters
     and solves — Alloy's [run p]. *)
 
-val check_formula : ?symmetry:bool -> t -> Relalg.Ast.formula -> outcome
-(** Searches for a counterexample: [Sat inst] refutes the formula. *)
-
 val check : ?symmetry:bool -> t -> string -> outcome
 (** [check c a] checks the named assertion — Alloy's [check a].
     [symmetry] enables Kodkod-style symmetry-breaking predicates (see
@@ -57,9 +49,10 @@ val check : ?symmetry:bool -> t -> string -> outcome
 val check_formula_bounded :
   ?symmetry:bool -> ?stop:(unit -> bool) -> budget:Netsim.Budget.t -> t ->
   Relalg.Ast.formula -> Relalg.Translate.bounded_outcome
-(** Budgeted variant of {!check_formula}: returns [Unknown reason]
-    instead of hanging once the {!Netsim.Budget} expires, or within one
-    conflict of the cooperative [stop] hook flipping to [true]. *)
+(** Searches for a counterexample to the formula ([Sat inst] refutes
+    it), under a budget: returns [Unknown reason] instead of hanging
+    once the {!Netsim.Budget} expires, or within one conflict of the
+    cooperative [stop] hook flipping to [true]. *)
 
 val check_bounded :
   ?symmetry:bool -> ?stop:(unit -> bool) -> budget:Netsim.Budget.t -> t ->
@@ -69,9 +62,9 @@ val check_bounded :
 
 val check_formula_certified :
   ?symmetry:bool -> t -> Relalg.Ast.formula -> Relalg.Translate.certified_outcome
-(** Certified variant of {!check_formula}: the verdict carries the
-    {!Sat.Proof} certification report (DRUP refutation for [Unsat],
-    strict model check for [Sat]). *)
+(** Certified counterexample search for the formula: the verdict
+    carries the {!Sat.Proof} certification report (DRUP refutation for
+    [Unsat], strict model check for [Sat]). *)
 
 val check_certified :
   ?symmetry:bool -> t -> string -> Relalg.Translate.certified_outcome
@@ -85,7 +78,7 @@ val enumerate : ?symmetry:bool -> ?limit:int -> t -> Relalg.Ast.formula -> Relal
 val translation : ?symmetry:bool -> t -> Relalg.Ast.formula -> Relalg.Translate.translation
 (** The raw translation of facts ∧ formula, for size measurements
     (experiment E5) and for the shared-translation solve path
-    ({!Relalg.Translate.solve_translation_bounded}). *)
+    ({!Relalg.Translate.session}). *)
 
 val check_translation : ?symmetry:bool -> t -> string -> Relalg.Translate.translation
 (** The counterexample-search translation of the named assertion

@@ -168,7 +168,9 @@ let run_cell ?stop ~shared ?(incremental = true) ~budget ~seed
   let sat_verdict =
     if incremental then cell_sat_verdict ?stop ~budget shared mp
     else
-      verdict_of_outcome (Mca_model.check_consensus_shared ?stop ~budget shared mp)
+      verdict_of_outcome
+        (Mca_model.check_consensus_incremental ?stop ~budget
+           (Mca_model.incremental_session shared) mp)
   in
   {
     policy_label;

@@ -102,13 +102,13 @@ val run_sweep :
     is translated to CNF {e once per scope} ({!Mca_model.build_shared})
     and each cell solves that immutable CNF under its three policy
     selector assumptions — workers no longer rebuild nearly-identical
-    CNF per cell, which is what made [--jobs 4] slower than sequential
-    in BENCH_E11. Each worker domain threads {e one warm solver}
+    CNF per cell, which is what once made [--jobs 4] slower than
+    sequential. Each worker domain threads {e one warm solver}
     through its share of cells ({!Mca_model.domain_session}): learnt
     clauses and heuristic state carry across cells, making the matrix
     measurably cheaper than independent solves (bench E17). Verdicts —
     and hence the rendered grid — are byte-identical at any [jobs] and
-    to a grid of fresh-solver cells ([run_cell ~incremental:false]);
+    to a grid of fresh-session cells ([run_cell ~incremental:false]);
     the differential suite pins the warm session against that oracle
     and against the per-cell build → translate pipeline.
 
@@ -166,9 +166,9 @@ val run_cell :
     backend individually. The SAT column is {!cell_sat_verdict} on
     [shared], which must be the {!Mca_model.build_shared} translation
     of the task's scope and effective target ([Invalid_argument]
-    otherwise). [~incremental:false] (default [true]) gives the cell a
-    fresh solver instead — the oracle the differential suite checks
-    the warm path against. *)
+    otherwise). [~incremental:false] (default [true]) solves the cell
+    on a fresh {!Mca_model.incremental_session} instead — the oracle
+    the differential suite checks the warm path against. *)
 
 (** The field-level escaping and verdict syntax of the journal records,
     exported because the service's newline-framed wire protocol reuses

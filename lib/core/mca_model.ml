@@ -785,14 +785,6 @@ let shared_assumptions sh policy =
     lit sh.sel_attack policy.rebid_attack;
   ]
 
-let check_consensus_shared ?stop ~budget sh policy =
-  Relalg.Translate.solve_translation_bounded ?stop
-    ~assumptions:(shared_assumptions sh policy) ~budget sh.shared_translation
-
-let check_consensus_shared_certified sh policy =
-  Relalg.Translate.solve_translation_certified
-    ~assumptions:(shared_assumptions sh policy) sh.shared_translation
-
 let shared_stats sh = Relalg.Translate.translation_stats sh.shared_translation
 
 (* ---- incremental session: one warm solver across the matrix ------- *)
@@ -807,8 +799,6 @@ let incremental_session ?certify sh =
     session_shared = sh;
     session_inner = Relalg.Translate.session ?certify sh.shared_translation;
   }
-
-let session_shared sn = sn.session_shared
 
 let check_consensus_incremental ?stop ~budget sn policy =
   Relalg.Translate.solve_cell ?stop ~budget sn.session_inner

@@ -40,24 +40,6 @@ let until ~deadline =
 let restarted t = { t with started = Unix.gettimeofday () }
 let elapsed t = Unix.gettimeofday () -. t.started
 
-let intersect a b =
-  (* tightest of each cap; the wall caps are compared as remaining time
-     from now, so the result can be restarted like any fresh budget *)
-  let now = Unix.gettimeofday () in
-  let remaining t = Option.map (fun w -> w -. (now -. t.started)) t.wall_s in
-  let omin f x y =
-    match (x, y) with
-    | None, z | z, None -> z
-    | Some x, Some y -> Some (f x y)
-  in
-  {
-    wall_s = omin min (remaining a) (remaining b);
-    steps = omin min a.steps b.steps;
-    conflicts = omin min a.conflicts b.conflicts;
-    propagations = omin min a.propagations b.propagations;
-    started = now;
-  }
-
 type status = Within | Expired of string
 
 let check ?(steps = 0) ?(conflicts = 0) ?(propagations = 0) t =

@@ -29,13 +29,6 @@ val until : deadline:float -> t
 val restarted : t -> t
 (** Same caps, deadline re-armed from now. *)
 
-val intersect : t -> t -> t
-(** Tightest combination of two budgets: the smaller of each work cap,
-    and the earlier of the two wall-clock deadlines (compared as time
-    remaining from now; the result's window opens now). Used by the
-    parallel sweep driver to combine a global [--timeout] with a
-    per-task cap. *)
-
 val elapsed : t -> float
 (** Wall-clock seconds since creation (or the last {!restarted}). *)
 

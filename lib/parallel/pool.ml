@@ -12,8 +12,8 @@ let map_result ?(jobs = 1) f tasks =
   (* Cap workers at the hardware parallelism: spawning more domains
      than cores makes OCaml's stop-the-world minor collections wait on
      descheduled domains, and a CPU-bound sweep runs *slower* than
-     sequentially (the BENCH_E11 0.47× regression). The caller's [jobs]
-     is a ceiling, not a demand. *)
+     sequentially (--jobs 4 once ran at 0.47× on fewer cores). The
+     caller's [jobs] is a ceiling, not a demand. *)
   let workers = min jobs (min n (available_jobs ())) in
   if workers <= 1 || n <= 1 then Array.map protected tasks
   else begin

@@ -309,24 +309,6 @@ let instance_of_model tr (model : Sat.Cnf.model) =
   in
   Instance.create (Bounds.universe tr.bounds) bindings
 
-let solve ?symmetry bounds formula =
-  let tr = translate ?symmetry bounds formula in
-  match tr.cnf.constant with
-  | Some false -> Unsat
-  | Some true ->
-      (* trivially true: lower bounds alone satisfy it *)
-      let model = Array.make (tr.num_primary + 1) false in
-      Sat (instance_of_model tr model)
-  | None -> (
-      match Sat.Solver.solve_problem tr.cnf.problem with
-      | Sat.Solver.Unsat -> Unsat
-      | Sat.Solver.Sat model ->
-          (* model may be longer than primary vars (Tseitin auxiliaries) *)
-          Sat (instance_of_model tr model))
-
-let check ?symmetry bounds ~assertion ~facts =
-  solve ?symmetry bounds (Ast.and_ [ facts; Ast.not_ assertion ])
-
 type bounded_outcome = Decided of outcome | Unknown of string
 
 (* The trivial model when the circuit constant-folded to true: lower
@@ -342,69 +324,24 @@ let trivial_model tr assumptions =
     assumptions;
   model
 
-let solve_translation_bounded ?stop ?(assumptions = []) ~budget tr =
-  match tr.cnf.F.constant with
-  | Some false -> Decided Unsat
-  | Some true -> Decided (Sat (instance_of_model tr (trivial_model tr assumptions)))
-  | None -> (
-      let solver = Sat.Solver.of_problem tr.cnf.F.problem in
-      match Sat.Solver.solve_bounded ?stop ~assumptions ~budget solver with
-      | Sat.Solver.Unknown { reason; _ } -> Unknown reason
-      | Sat.Solver.Decided Sat.Solver.Unsat -> Decided Unsat
-      | Sat.Solver.Decided (Sat.Solver.Sat model) ->
-          Decided (Sat (instance_of_model tr model)))
-
-let solve_bounded ?symmetry ?stop ~budget bounds formula =
-  let tr = translate ?symmetry bounds formula in
-  solve_translation_bounded ?stop ~budget tr
-
-let check_bounded ?symmetry ?stop ~budget bounds ~assertion ~facts =
-  solve_bounded ?symmetry ?stop ~budget bounds
-    (Ast.and_ [ facts; Ast.not_ assertion ])
-
 type certified_outcome = {
   outcome : outcome;
   certification : Sat.Proof.report option;
 }
 
-let solve_translation_certified ?(assumptions = []) tr =
-  match tr.cnf.F.constant with
-  | Some false -> { outcome = Unsat; certification = None }
-  | Some true ->
-      { outcome = Sat (instance_of_model tr (trivial_model tr assumptions));
-        certification = None }
-  | None ->
-      let solver = Sat.Solver.of_problem ~proof:true tr.cnf.F.problem in
-      (* [solve ~certify] rejects solver assumptions (a DRUP refutation
-         under assumptions would not refute the clause set), so the
-         assumed literals are added as real unit clauses: they then
-         participate in the proof as axioms and the certificate covers
-         exactly the assumed problem *)
-      List.iter (fun l -> Sat.Solver.add_clause solver [ l ]) assumptions;
-      let outcome =
-        match Sat.Solver.solve ~certify:true solver with
-        | Sat.Solver.Unsat -> Unsat
-        | Sat.Solver.Sat model -> Sat (instance_of_model tr model)
-      in
-      { outcome; certification = Sat.Solver.last_certification solver }
-
-let solve_certified ?symmetry bounds formula =
-  let tr = translate ?symmetry bounds formula in
-  solve_translation_certified tr
-
-let check_certified ?symmetry bounds ~assertion ~facts =
-  solve_certified ?symmetry bounds (Ast.and_ [ facts; Ast.not_ assertion ])
-
-(* Incremental solving session: one warm solver threaded through many
-   assumption-parameterized solves over the same translation. Unlike
-   [solve_translation_bounded], which builds a cold solver per call,
-   the session keeps learnt clauses and VSIDS state across cells — the
-   cells of the policy matrix differ only in selector assumptions, so
-   most learnt clauses transfer. Unlike [solve_translation_certified],
-   the certified path never [add_clause]s assumption units into the
-   solver (that would poison it for every later cell); it relies on
-   [Sat.Solver.solve_assuming_certified], which certifies against the
-   assumed problem without mutating the clause set. *)
+(* A solving session: one solver threaded through any number of
+   assumption-parameterized solves over the same translation. Every
+   verdict query of this module goes through one — the one-shot
+   [solve], [check_bounded] and [check_certified] below open a
+   throwaway session — so every verdict comes out of the same search
+   and every certificate out of [Sat.Solver.solve ~certify]. (Only
+   [enumerate], which adds blocking clauses between solves, keeps a
+   solver of its own.) A warm session keeps
+   learnt clauses and VSIDS state across cells: the cells of the policy
+   matrix differ only in selector assumptions, so most learnt clauses
+   transfer. Assumptions are never added as clauses (that would poison
+   the session for every later cell); certification under assumptions
+   covers the assumed problem without mutating the clause set. *)
 type session = {
   session_translation : translation;
   session_solver : Sat.Solver.t option;
@@ -419,8 +356,6 @@ let session ?(certify = false) tr =
     | None -> Some (Sat.Solver.of_problem ~proof:certify tr.cnf.F.problem)
   in
   { session_translation = tr; session_solver = solver; session_certify = certify }
-
-let session_translation sn = sn.session_translation
 
 let solve_cell ?stop ~budget sn assumptions =
   let tr = sn.session_translation in
@@ -448,11 +383,30 @@ let solve_cell_certified sn assumptions =
   | None, None -> assert false
   | None, Some solver ->
       let outcome =
-        match Sat.Solver.solve_assuming_certified ~assumptions solver with
+        match Sat.Solver.solve ~assumptions ~certify:true solver with
         | Sat.Solver.Unsat -> Unsat
         | Sat.Solver.Sat model -> Sat (instance_of_model tr model)
       in
       { outcome; certification = Sat.Solver.last_certification solver }
+
+let solve_bounded ?symmetry ?stop ~budget bounds formula =
+  solve_cell ?stop ~budget (session (translate ?symmetry bounds formula)) []
+
+let solve ?symmetry bounds formula =
+  match solve_bounded ?symmetry ~budget:Netsim.Budget.unlimited bounds formula with
+  | Decided o -> o
+  | Unknown _ -> assert false (* unlimited budgets never expire *)
+
+let check ?symmetry bounds ~assertion ~facts =
+  solve ?symmetry bounds (Ast.and_ [ facts; Ast.not_ assertion ])
+
+let check_bounded ?symmetry ?stop ~budget bounds ~assertion ~facts =
+  solve_bounded ?symmetry ?stop ~budget bounds
+    (Ast.and_ [ facts; Ast.not_ assertion ])
+
+let check_certified ?symmetry bounds ~assertion ~facts =
+  let tr = translate ?symmetry bounds (Ast.and_ [ facts; Ast.not_ assertion ]) in
+  solve_cell_certified (session ~certify:true tr) []
 
 let session_stats sn = Option.map Sat.Solver.stats sn.session_solver
 

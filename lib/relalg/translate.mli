@@ -5,7 +5,15 @@
     relation's [upper \ lower] bound, interpret the formula over boolean
     matrices ({!Matrix}), Tseitin-translate the resulting circuit
     ({!Sat.Formula.to_cnf}) and run the CDCL solver. A satisfying model is
-    read back into an {!Instance.t}. *)
+    read back into an {!Instance.t}.
+
+    Every verdict query goes through a {!session}: the one-shot
+    {!solve}, {!solve_bounded}, {!check_bounded} and {!check_certified}
+    open a throwaway one, the policy-matrix sweep keeps a warm one per
+    worker. So every verdict comes from the same canonical CDCL search
+    and every certificate from {!Sat.Solver.solve} [~certify:true].
+    {!enumerate} runs that search on a solver of its own, since it adds
+    blocking clauses between solves. *)
 
 type translation = {
   cnf : Sat.Formula.cnf_result;
@@ -66,36 +74,14 @@ type certified_outcome = {
   certification : Sat.Proof.report option;
 }
 
-val solve_certified : ?symmetry:bool -> Bounds.t -> Ast.formula -> certified_outcome
-(** Like {!solve}, but every verdict is independently certified: a [Sat]
-    model is re-checked against all CNF clauses and an [Unsat] answer
-    must produce a DRUP proof accepted by {!Sat.Proof.check_refutation}.
-    Raises {!Sat.Proof.Certification_failed} if the engine's certificate
-    is rejected. *)
-
 val check_certified :
   ?symmetry:bool -> Bounds.t -> assertion:Ast.formula -> facts:Ast.formula -> certified_outcome
 (** Certified counterexample search: an [Unsat] ("assertion holds")
-    verdict comes with a machine-checked refutation — the direction the
-    paper's Result 1 rests on. *)
-
-val solve_translation_bounded :
-  ?stop:(unit -> bool) -> ?assumptions:Sat.Cnf.lit list ->
-  budget:Netsim.Budget.t -> translation -> bounded_outcome
-(** Budgeted solve of an already-built {!translation} — the shared-
-    translation hot path: translate once, then decide many nearby
-    problems by fixing selector variables through [assumptions] instead
-    of re-translating. The translation is immutable and may be shared
-    across domains; every call uses a fresh solver. Constant-folded
-    circuits are decided directly (a trivially-[Sat] instance reflects
-    the assumed literal polarities). *)
-
-val solve_translation_certified :
-  ?assumptions:Sat.Cnf.lit list -> translation -> certified_outcome
-(** Certified solve of an already-built {!translation}. Assumed literals
-    are asserted as unit clauses (DRUP certification rejects solver-level
-    assumptions), so the certificate covers exactly the assumed problem.
-    Raises {!Sat.Proof.Certification_failed} like {!solve_certified}. *)
+    verdict comes with a DRUP refutation accepted by
+    {!Sat.Proof.check_refutation} — the direction the paper's Result 1
+    rests on — and a [Sat] counterexample with a model re-checked
+    against every CNF clause. Raises {!Sat.Proof.Certification_failed}
+    if the engine's certificate is rejected. *)
 
 type session
 (** An incremental solving session: one warm {!Sat.Solver.t} threaded
@@ -112,25 +98,24 @@ val session : ?certify:bool -> translation -> session
     DRUP proof logging on the session solver so {!solve_cell_certified}
     is available; logging has a small per-clause cost. *)
 
-val session_translation : session -> translation
-
 val solve_cell :
   ?stop:(unit -> bool) ->
   budget:Netsim.Budget.t -> session -> Sat.Cnf.lit list -> bounded_outcome
-(** Budgeted solve of one cell under the given assumptions, warm. Same
-    verdict contract as {!solve_translation_bounded} — differentially
-    pinned equal in the test suite — but reusing the session solver.
+(** Budgeted solve of one cell under the given assumptions, warm: the
+    verdict of a fresh session on the same cell (differentially pinned
+    in the test suite), reusing the session solver. Constant-folded
+    circuits are decided directly (a trivially-[Sat] instance reflects
+    the assumed literal polarities).
     On [Unknown] the solver is back at the root level and stays
     reusable; retrying the same cell with a larger budget resumes warm.
     Assumptions never leak between calls: they are pseudo-decisions,
     undone by the root-level backtrack that starts every solve. *)
 
 val solve_cell_certified : session -> Sat.Cnf.lit list -> certified_outcome
-(** Certified solve of one cell, warm. Unlike
-    {!solve_translation_certified} this never asserts the assumptions
-    as clauses — that would poison the session for every later cell —
-    and instead certifies via {!Sat.Solver.solve_assuming_certified}:
-    the certificate still covers exactly the assumed problem. Raises
+(** Certified solve of one cell, warm, via {!Sat.Solver.solve}
+    [~assumptions ~certify:true]: the certificate covers exactly the
+    assumed problem, yet the assumptions are never asserted as clauses
+    (that would poison the session for every later cell). Raises
     [Invalid_argument] unless the session was opened with
     [~certify:true], and {!Sat.Proof.Certification_failed} if a
     certificate is rejected. *)

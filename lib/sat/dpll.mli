@@ -16,9 +16,9 @@ val solve_bounded :
   budget:Netsim.Budget.t ->
   Cnf.problem ->
   Solver.bounded_result
-(** The portfolio entry point: decisions count against the budget's
-    step cap, the wall clock is polled per decision, and [stop] is the
-    same cooperative-cancellation hook as
+(** The budgeted oracle of the differential suite: decisions count
+    against the budget's step cap, the wall clock is polled per
+    decision, and [stop] is the same cooperative-cancellation hook as
     {!Solver.solve_bounded} — when it flips to [true] the search
     returns [Unknown {reason = "cancelled"; _}] within one decision.
     [Unknown.conflicts] reports decisions (DPLL learns no clauses). *)

@@ -45,23 +45,6 @@ type stats = {
   clauses_added : int;
 }
 
-type config = {
-  restart_base : float;
-  invert_polarity : bool;
-  seed : int;
-}
-
-let default_config = { restart_base = 100.0; invert_polarity = false; seed = 0 }
-
-let diversified k =
-  if k <= 0 then default_config
-  else
-    {
-      restart_base = [| 100.0; 50.0; 200.0; 70.0; 150.0 |].(k mod 5);
-      invert_polarity = k land 1 = 1;
-      seed = k;
-    }
-
 (* Arena layout. A clause takes [header_words + size] words from offset
    [base c] of chunk [c lsr chunk_bits]: the header [size lsl 2 lor
    flags], the activity bits, then the literals. *)
@@ -779,7 +762,10 @@ let extract_model s =
   done;
   m
 
-(* Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
+(* Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ..., in units of
+   [restart_base] conflicts *)
+let restart_base = 100.0
+
 let luby i =
   let rec expand sz seq = if sz < i + 1 then expand ((2 * sz) + 1) (seq + 1) else (sz, seq) in
   let rec reduce x sz seq =
@@ -791,32 +777,13 @@ let luby i =
   let sz, seq = expand 1 0 in
   reduce i sz seq
 
-(* Portfolio diversification: nudge the VSIDS tie-breaking order with
-   tiny seeded activity offsets (real conflict bumps dwarf them within a
-   few conflicts) and scramble the initial saved phases. Distinct seeds
-   steer otherwise-identical solvers into different parts of the search
-   tree, which is what makes racing them worthwhile. *)
-let diversify s (config : config) =
-  if config.invert_polarity then
-    for v = 1 to s.nvars do
-      s.polarity.(v) <- true
-    done;
-  if config.seed <> 0 then begin
-    let rng = Netsim.Rng.create config.seed in
-    for v = 1 to s.nvars do
-      Heap.bump s.order v (1e-6 *. Netsim.Rng.float rng 1.0);
-      if Netsim.Rng.bool rng then s.polarity.(v) <- not s.polarity.(v)
-    done
-  end
-
-let solve_core ~assumptions ~budget ~config ~stop s =
+let solve_core ~assumptions ~budget ~stop s =
   s.conflict_core <- [];
   if not s.ok then Decided Unsat
   else begin
     (* make sure assumption variables exist *)
     List.iter (fun l -> ensure_vars s (var_of l)) assumptions;
     cancel_until s 0;
-    if config <> default_config then diversify s config;
     if propagate s <> no_cref then begin
       s.ok <- false;
       log_empty s;
@@ -854,11 +821,10 @@ let solve_core ~assumptions ~budget ~config ~stop s =
       | None ->
         begin
         let assumption_level = decision_level s in
-        let restart_limit () = config.restart_base *. luby !restart_num in
+        let restart_limit () = restart_base *. luby !restart_num in
         (* the budget AND the cancellation hook are polled here, at every
            conflict/decision boundary — not just at restarts — so a
-           portfolio loser stops within one conflict of the winner's
-           verdict *)
+           cancelled caller gets its answer within one conflict *)
         while !result = None do
           let conflicts = s.n_conflicts - conflicts0 in
           let propagations = s.n_propagations - propagations0 in
@@ -939,15 +905,28 @@ let solve_core ~assumptions ~budget ~config ~stop s =
 
 let never_stop () = false
 
-let solve_bounded ?(assumptions = []) ?(config = default_config)
-    ?(stop = never_stop) ~budget s =
-  solve_core ~assumptions ~budget ~config ~stop s
+let solve_bounded ?(assumptions = []) ?(stop = never_stop) ~budget s =
+  solve_core ~assumptions ~budget ~stop s
 
 let failed_assumptions s = s.conflict_core
 
+(* Certification covers the assumed problem: the original clauses plus
+   one unit clause per assumption (none for an assumption-free solve).
+   The trail needs no rewriting: every clause the solver learns is
+   derived by resolution from the clause database only (assumption
+   pseudo-decisions have no reason clause, so they surface as negated
+   literals *inside* learnt clauses, never as premises), hence each
+   logged Add is RUP against the originals plus earlier Adds, with or
+   without the assumption units. An Unsat answer without assumptions
+   already ends in the logged empty clause. An Unsat answer under
+   assumptions ends in a conflict reached by unit propagation from root
+   facts and the assumption units, so the trail is closed by one more
+   empty-clause Add, which is RUP once the assumption units are axioms.
+   A Sat model is checked against the assumed problem (the assumptions
+   were on the trail when it was extracted). No unit clause is ever
+   added to the solver, so a warm session stays reusable under
+   different assumptions. *)
 let solve ?(assumptions = []) ?(certify = false) s =
-  if certify && assumptions <> [] then
-    invalid_arg "Solver.solve: ~certify does not support assumptions";
   if certify && s.proof = None then
     invalid_arg
       "Solver.solve: ~certify requires proof logging (enable_proof or \
@@ -955,68 +934,27 @@ let solve ?(assumptions = []) ?(certify = false) s =
   let r =
     match
       solve_core ~assumptions ~budget:Netsim.Budget.unlimited
-        ~config:default_config ~stop:never_stop s
+        ~stop:never_stop s
     with
     | Decided r -> r
     | Unknown _ -> assert false (* unlimited budgets never expire *)
   in
   if certify then begin
-    let p = original_problem s in
+    let assumed =
+      List.fold_left
+        (fun p l -> Cnf.add_clause p [ l ])
+        (original_problem s) assumptions
+    in
     let cert =
       match r with
       | Sat m -> Proof.Model m
-      | Unsat -> Proof.Refutation (proof_steps s)
+      | Unsat when assumptions = [] -> Proof.Refutation (proof_steps s)
+      | Unsat -> Proof.Refutation (proof_steps s @ [ Proof.Add [||] ])
     in
-    match Proof.certify p cert with
+    match Proof.certify assumed cert with
     | Ok report -> s.last_certification <- Some report
     | Error msg -> raise (Proof.Certification_failed msg)
   end;
-  r
-
-(* Certified solve under assumptions, for warm (session) solvers.
-
-   [solve ~certify] rejects assumptions because a DRUP trail under
-   assumptions does not refute the clause set alone. Here the assumed
-   problem — original clauses plus one unit clause per assumption — is
-   what gets certified, and the session trail needs no rewriting: every
-   clause the solver learns is derived by resolution from the clause
-   database only (assumption pseudo-decisions have no reason clause, so
-   they surface as negated literals *inside* learnt clauses, never as
-   premises), hence each logged Add is RUP against the originals plus
-   earlier Adds, with or without the assumption units. An Unsat-under-
-   assumptions verdict ends in a conflict reached by unit propagation
-   from root facts and the assumption units, so the per-cell trail
-   slice is closed by appending one empty-clause Add, which is RUP once
-   the assumption units are axioms. A Sat verdict is certified as a
-   model of the assumed problem (assumptions were on the trail when the
-   model was extracted). The solver is NOT mutated beyond the normal
-   warm-solve effects: no unit clauses are added, so the session stays
-   reusable under different assumptions. *)
-let solve_assuming_certified ~assumptions s =
-  if s.proof = None then
-    invalid_arg
-      "Solver.solve_assuming_certified: requires proof logging \
-       (enable_proof or of_problem ~proof:true)";
-  let r =
-    match
-      solve_core ~assumptions ~budget:Netsim.Budget.unlimited
-        ~config:default_config ~stop:never_stop s
-    with
-    | Decided r -> r
-    | Unknown _ -> assert false (* unlimited budgets never expire *)
-  in
-  let p = original_problem s in
-  let assumed =
-    List.fold_left (fun p l -> Cnf.add_clause p [ l ]) p assumptions
-  in
-  let cert =
-    match r with
-    | Sat m -> Proof.Model m
-    | Unsat -> Proof.Refutation (proof_steps s @ [ Proof.Add [||] ])
-  in
-  (match Proof.certify assumed cert with
-  | Ok report -> s.last_certification <- Some report
-  | Error msg -> raise (Proof.Certification_failed msg));
   r
 
 let of_problem ?(proof = false) (p : Cnf.problem) =

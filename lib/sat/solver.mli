@@ -9,7 +9,10 @@
     activity-based learnt-clause database reduction. This is the engine
     under the relational-logic translation ({!Relalg}) and hence under
     every Alloy-lite [check]/[run] command, mirroring the Alloy
-    Analyzer's use of MiniSat via Kodkod.
+    Analyzer's use of MiniSat via Kodkod. There is one search: every
+    SAT call in the tree runs the same deterministic strategy, and
+    every certificate comes from {!solve} [~certify:true], with or
+    without assumptions.
 
     Clauses live in a MiniSat-style arena of int words — a header
     (size, learnt and deleted bits), an activity word, then the
@@ -46,25 +49,6 @@ type stats = {
   clauses_added : int;
 }
 
-(** Search-strategy knobs, the diversification axes of the solver
-    portfolio ({!Portfolio}). The default reproduces the solver's
-    historical behaviour exactly. *)
-type config = {
-  restart_base : float;  (** Luby restart unit interval (default 100) *)
-  invert_polarity : bool;
-      (** start saved phases at [true] instead of [false] *)
-  seed : int;
-      (** when nonzero: seeded tiny VSIDS activity offsets and scrambled
-          initial phases — different seeds explore different subtrees *)
-}
-
-val default_config : config
-
-val diversified : int -> config
-(** [diversified k] is the [k]-th member of the portfolio family
-    ([diversified 0 = default_config]): restart interval, polarity and
-    seed vary together so that members rarely duplicate work. *)
-
 val create : unit -> t
 
 val new_var : t -> Cnf.var
@@ -92,17 +76,22 @@ val solve : ?assumptions:Cnf.lit list -> ?certify:bool -> t -> result
     policy-matrix sweep is built on.
 
     With [~certify:true] (default false) the verdict is independently
-    certified before being returned: a [Sat] model is re-checked against
-    every original clause by {!Proof.check_model}, and an [Unsat] answer
-    must come with a DRUP trail accepted by {!Proof.check_refutation}.
-    Requires proof logging ({!enable_proof} or [of_problem ~proof:true])
-    and no assumptions; raises [Invalid_argument] otherwise, and
-    {!Proof.Certification_failed} if a certificate is rejected (i.e. a
-    solver bug was caught). *)
+    certified before being returned. The certificate covers the
+    {e assumed problem}: {!original_problem} plus one unit clause per
+    assumption (just {!original_problem} when there are none). A [Sat]
+    model is re-checked against all of it by {!Proof.check_model}; an
+    [Unsat] answer must come with a DRUP trail accepted by
+    {!Proof.check_refutation} — the session's trail as logged, closed
+    by one empty-clause addition when assumptions were involved (sound
+    because learnt clauses never use assumptions as premises). The
+    assumptions are never added as clauses, so a certified warm session
+    stays reusable under different assumptions. Requires proof logging
+    ({!enable_proof} or [of_problem ~proof:true]); raises
+    [Invalid_argument] otherwise, and {!Proof.Certification_failed} if
+    a certificate is rejected (i.e. a solver bug was caught). *)
 
 val solve_bounded :
   ?assumptions:Cnf.lit list ->
-  ?config:config ->
   ?stop:(unit -> bool) ->
   budget:Netsim.Budget.t ->
   t ->
@@ -114,11 +103,10 @@ val solve_bounded :
     larger budget resumes warm. Certification is not supported on the
     bounded path.
 
-    [config] selects a diversified search strategy (default: the
-    canonical one). [stop] is the cooperative-cancellation hook: it is
-    polled together with the budget at {e every} conflict/decision
-    boundary — not merely at restarts — so when it flips to [true]
-    (e.g. a portfolio rival won) the call returns
+    [stop] is the cooperative-cancellation hook: it is polled together
+    with the budget at {e every} conflict/decision boundary — not
+    merely at restarts — so when it flips to [true] (a drained sweep, a
+    request deadline) the call returns
     [Unknown {reason = "cancelled"; _}] within one conflict. *)
 
 val failed_assumptions : t -> Cnf.lit list
@@ -130,21 +118,6 @@ val failed_assumptions : t -> Cnf.lit list
     with no assumptions involved (the clause set itself is
     unsatisfiable), and [[]] after any [Sat] or [Unknown] answer. The
     core is reset by every solve call. *)
-
-val solve_assuming_certified : assumptions:Cnf.lit list -> t -> result
-(** Certified solve under assumptions, for warm session solvers. The
-    certificate covers the {e assumed problem} — {!original_problem}
-    extended with one unit clause per assumption: a [Sat] model is
-    checked against all of it, and an [Unsat] answer is certified by
-    the session's DRUP trail closed with one empty-clause addition
-    (sound because learnt clauses never use assumptions as premises,
-    and the final conflict is a unit-propagation consequence of the
-    assumption units). The solver itself is {e not} mutated beyond a
-    normal warm solve — in particular the assumptions are never added
-    as clauses, so the session stays reusable under different
-    assumptions. Requires proof logging; raises [Invalid_argument]
-    otherwise and {!Proof.Certification_failed} if the certificate is
-    rejected. *)
 
 val enable_proof : t -> unit
 (** Turns on DRUP proof logging and original-clause capture. Must be

@@ -28,7 +28,7 @@
       per-cell atomic CAS and the loser is discarded.
     - {b certified relocation}: a decided SAT verdict produced by any
       worker other than the cell's ring owner is re-derived locally
-      through {!Core.Mca_model.check_consensus_shared_certified} —
+      on a fresh certified {!Core.Mca_model.incremental_session} —
       DRUP-checked — before the coordinator accepts it; on a mismatch
       the locally certified answer wins and the event is counted.
     - {b journal-backed handoff}: with [cl_journal] every dispatch is

@@ -2,17 +2,18 @@ type rung = Cdcl | Explicit
 
 let rung_name = function Cdcl -> "cdcl" | Explicit -> "explicit"
 
-type t = { breakers : (rung * Breaker.t) list }
+(* Only the CDCL rung has a breaker. The explicit rung's verdict is
+   computed for every reply's exhaustive column anyway, so skipping it
+   would save no work — it would only turn a decided answer into an
+   [Undecided "degraded: …"] one. *)
+type t = { cdcl : Breaker.t }
 
 let make ?trip_after ?backoff ?(seed = 0) () =
-  {
-    breakers =
-      List.map
-        (fun r -> (r, Breaker.make ?trip_after ?backoff ~seed ~key:(rung_name r) ()))
-        [ Cdcl; Explicit ];
-  }
+  { cdcl = Breaker.make ?trip_after ?backoff ~seed ~key:(rung_name Cdcl) () }
 
-let breaker t rung = List.assoc rung t.breakers
+let breaker t = t.cdcl
+
+let guard t = function Cdcl -> Some t.cdcl | Explicit -> None
 
 type answer = {
   verdict : Core.Experiments.sweep_verdict;
@@ -40,8 +41,11 @@ let decide ?(now = Unix.gettimeofday) t rungs =
                  (List.rev_map (fun (r, w) -> r ^ "=" ^ w) !trail)))
           "none" ~degraded:true
     | (rung, run) :: rest ->
-        let b = breaker t rung in
-        if not (Breaker.admit b ~now:(now ())) then begin
+        let b = guard t rung in
+        let admitted =
+          match b with None -> true | Some b -> Breaker.admit b ~now:(now ())
+        in
+        if not admitted then begin
           note rung "open";
           walk true rest
         end
@@ -54,15 +58,15 @@ let decide ?(now = Unix.gettimeofday) t rungs =
                  time. The probe slot must still be released: if this
                  admit was the half-open probe, leaving [probing] set
                  would wedge the breaker open forever. *)
-              Breaker.cancel b;
+              Option.iter Breaker.cancel b;
               note rung "cancelled";
               finish v "none" ~degraded
           | Core.Experiments.Undecided reason ->
-              Breaker.timeout b ~now:(now ());
+              Option.iter (fun b -> Breaker.timeout b ~now:(now ())) b;
               note rung reason;
               walk true rest
           | v ->
-              Breaker.success b;
+              Option.iter Breaker.success b;
               note rung "decided";
               finish v (rung_name rung) ~degraded
         end

@@ -1,15 +1,17 @@
 (** The graceful-degradation ladder: CDCL → explicit checker →
     [UNKNOWN].
 
-    Each rung is guarded by its own {!Breaker}: a backend that keeps
-    timing out is skipped (its breaker is open) until a backoff-drawn
-    cooldown has passed, so an overloaded server stops burning its
-    per-request deadline on a rung that cannot answer in time. A rung
-    that answers [Undecided] within its slice of the deadline counts as
-    a breaker timeout and the request falls to the next rung; only when
-    every rung is refused or undecided does the request resolve to
-    [Undecided "degraded: …"] — the service's honest [UNKNOWN], never a
-    crash or a hang. Engine cross-checking (e.g. against {!Sat.Dpll})
+    The CDCL rung is guarded by a {!Breaker}: while it keeps timing out
+    it is skipped (its breaker is open) until a backoff-drawn cooldown
+    has passed, so an overloaded server stops burning its per-request
+    deadline on a rung that cannot answer in time. A CDCL [Undecided]
+    within its slice of the deadline counts as a breaker timeout and
+    the request falls to the explicit rung. That rung has no breaker:
+    the service computes its verdict for every reply's exhaustive
+    column anyway, so skipping it would save nothing and only throw a
+    decided answer away. Only when every rung is refused or undecided
+    does the request resolve to [Undecided "degraded: …"] — the
+    service's honest [UNKNOWN], never a crash or a hang. Engine cross-checking (e.g. against {!Sat.Dpll})
     belongs to the differential test suite, not to this ladder. *)
 
 type rung = Cdcl | Explicit
@@ -18,15 +20,15 @@ val rung_name : rung -> string
 (** ["cdcl"], ["explicit"]. *)
 
 type t
-(** One breaker per rung; shared by all worker domains. *)
+(** The CDCL rung's breaker; shared by all worker domains. *)
 
 val make :
   ?trip_after:int -> ?backoff:Netsim.Backoff.t -> ?seed:int -> unit -> t
 (** Breaker parameters are per {!Breaker.make}; [seed] (default 0)
-    derives each rung's decorrelated cooldown stream. *)
+    derives the breaker's decorrelated cooldown stream. *)
 
-val breaker : t -> rung -> Breaker.t
-(** Exposed for stats reporting and tests. *)
+val breaker : t -> Breaker.t
+(** The CDCL rung's breaker, exposed for stats reporting and tests. *)
 
 type answer = {
   verdict : Core.Experiments.sweep_verdict;
@@ -41,10 +43,11 @@ val decide :
   ?now:(unit -> float) ->
   t -> (rung * (unit -> Core.Experiments.sweep_verdict)) list -> answer
 (** Walks the rungs top-down. [Holds]/[Violated] records a breaker
-    success and stops; [Undecided "cancelled"] (drain, or the request
-    deadline observed by the [stop] hook) stops {e without} a breaker
-    transition — cancellation says nothing about the backend's health;
-    any other [Undecided] records a breaker timeout and falls through.
+    success (on the CDCL rung) and stops; [Undecided "cancelled"]
+    (drain, or the request deadline observed by the [stop] hook) stops
+    {e without} a breaker transition — cancellation says nothing about
+    the backend's health; any other [Undecided] records a breaker
+    timeout (on the CDCL rung) and falls through.
     [now] (default wall clock) is injected for deterministic tests. *)
 
 val consensus_rungs :

@@ -262,10 +262,8 @@ let shared_for t scope target =
 
 let stats_of t =
   let c = t.counters in
-  let breaker_open rung =
-    match
-      Breaker.state (Ladder.breaker t.ladder rung) ~now:(Unix.gettimeofday ())
-    with
+  let breaker_open =
+    match Breaker.state (Ladder.breaker t.ladder) ~now:(Unix.gettimeofday ()) with
     | Breaker.Closed -> 0
     | Breaker.Open_until _ | Breaker.Half_open -> 1
   in
@@ -289,8 +287,7 @@ let stats_of t =
     ("depth", Parallel.Bqueue.length t.queue);
     ("cap", t.cfg.queue_cap);
     ("jobs", t.cfg.jobs);
-    ("breaker_cdcl_open", breaker_open Ladder.Cdcl);
-    ("breaker_explicit_open", breaker_open Ladder.Explicit);
+    ("breaker_cdcl_open", breaker_open);
   ]
   @ Tenant.stats t.tenants
 

@@ -28,8 +28,9 @@
       capped by [max_deadline]) threaded into the backends as a [?stop]
       hook plus per-rung {!Netsim.Budget}s.
     - {b graceful degradation}: the SAT column is answered by the
-      {!Ladder} (CDCL → explicit → [UNKNOWN]), with a per-rung
-      {!Breaker} so a timing-out backend is skipped while it cools off.
+      {!Ladder} (CDCL → explicit → [UNKNOWN]), with a {!Breaker} on
+      the CDCL rung so a timing-out solver is skipped while it cools
+      off.
     - {b drain on stop}: {!stop} (the SIGTERM handler's one call —
       it only flips an [Atomic]) stops admissions; queued requests
       complete, are answered and journaled, then workers exit and
@@ -102,8 +103,8 @@ val stats : t -> (string * int) list
     [admitted], [shed], [errors], [served], [cached], [degraded],
     [drained], [submits], [quota], [spec_errors], [spec_cached],
     [fenced] (checks refused for a stale coordinator epoch), [epoch]
-    (the fencing watermark), [tenants], [depth], [cap], [jobs], one
-    [breaker_*_open] flag per ladder rung, and one
+    (the fencing watermark), [tenants], [depth], [cap], [jobs],
+    [breaker_cdcl_open] (the CDCL rung's breaker is open), and one
     [tenant.<name>.served]/[.refused]/[.cached] triple per tracked
     tenant ({!Tenant.stats}). *)
 

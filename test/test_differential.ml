@@ -186,13 +186,12 @@ let verdict_name = function
 
 (* every policy cell of the paper grid, three ways: one translation
    built once with selector relations must give the cell-for-cell
-   verdicts of the build-per-cell pipeline, on a fresh solver per cell
-   (shared) AND on one warm session solver threaded through all six
-   cells (incremental) — and both certified variants must agree while
-   producing a checked DRUP/model certificate for the assumed problem.
-   The incremental certified path additionally proves the session
-   solver survives certification unpoisoned: the same session keeps
-   answering later cells. *)
+   verdicts of the build-per-cell pipeline, on a fresh certified
+   session per cell, on one warm session threaded through all six
+   cells, and on one warm certified session — each certified verdict
+   carrying a checked DRUP/model certificate for the assumed problem.
+   The warm certified session additionally proves the solver survives
+   certification unpoisoned: it keeps answering later cells. *)
 let shared_matches_per_cell test_scope =
   let shared =
     Core.Mca_model.build_shared Core.Mca_model.Efficient test_scope
@@ -214,45 +213,26 @@ let shared_matches_per_cell test_scope =
           ~budget:(budget ())
           (Core.Mca_model.build Core.Mca_model.Efficient mp test_scope)
       in
-      let shared_v =
-        Core.Mca_model.check_consensus_shared ~budget:(budget ()) shared mp
+      let agrees what v =
+        if verdict_name per_cell <> verdict_name v then
+          Alcotest.failf "%s: per-cell says %s, %s says %s" label
+            (verdict_name per_cell) what (verdict_name v)
       in
-      if verdict_name per_cell <> verdict_name shared_v then
-        Alcotest.failf "%s: per-cell says %s, shared translation says %s"
-          label (verdict_name per_cell) (verdict_name shared_v);
-      let incr_v =
-        Core.Mca_model.check_consensus_incremental ~budget:(budget ()) session
-          mp
+      let certified what (c : Relalg.Translate.certified_outcome) =
+        agrees what (Relalg.Translate.Decided c.Relalg.Translate.outcome);
+        if c.Relalg.Translate.certification = None then
+          Alcotest.failf "%s: %s verdict came back uncertified" label what
       in
-      if verdict_name per_cell <> verdict_name incr_v then
-        Alcotest.failf "%s: per-cell says %s, incremental session says %s"
-          label (verdict_name per_cell) (verdict_name incr_v);
-      let cert = Core.Mca_model.check_consensus_shared_certified shared mp in
-      if
-        verdict_name (Relalg.Translate.Decided cert.Relalg.Translate.outcome)
-        <> verdict_name per_cell
-      then
-        Alcotest.failf "%s: certified shared verdict (%s) disagrees" label
-          (verdict_name (Relalg.Translate.Decided cert.Relalg.Translate.outcome));
-      (match cert.Relalg.Translate.certification with
-      | Some _ -> ()
-      | None ->
-          Alcotest.failf "%s: shared verdict came back uncertified" label);
-      let icert =
-        Core.Mca_model.check_consensus_incremental_certified certified_session
-          mp
-      in
-      if
-        verdict_name (Relalg.Translate.Decided icert.Relalg.Translate.outcome)
-        <> verdict_name per_cell
-      then
-        Alcotest.failf "%s: certified incremental verdict (%s) disagrees" label
-          (verdict_name
-             (Relalg.Translate.Decided icert.Relalg.Translate.outcome));
-      match icert.Relalg.Translate.certification with
-      | Some _ -> ()
-      | None ->
-          Alcotest.failf "%s: incremental verdict came back uncertified" label)
+      certified "a fresh certified session"
+        (Core.Mca_model.check_consensus_incremental_certified
+           (Core.Mca_model.incremental_session ~certify:true shared)
+           mp);
+      agrees "the warm session"
+        (Core.Mca_model.check_consensus_incremental ~budget:(budget ()) session
+           mp);
+      certified "the warm certified session"
+        (Core.Mca_model.check_consensus_incremental_certified certified_session
+           mp))
     Core.Mca_model.paper_policies
 
 let test_shared_translation_2p2v () =
@@ -367,7 +347,7 @@ let test_sweep_determinism_and_pins () =
     r1.Core.Experiments.cells
 
 (* the warm-session sweep must be invisible in the canonical rendering:
-   at any --jobs it renders byte-identical to a grid of fresh-solver
+   at any --jobs it renders byte-identical to a grid of fresh-session
    cells (run_cell ~incremental:false, the oracle path) *)
 let test_sweep_incremental_byte_identity () =
   let budget () = Netsim.Budget.create ~wall_s:120.0 () in
@@ -397,7 +377,7 @@ let test_sweep_incremental_byte_identity () =
   List.iter
     (fun jobs ->
       Alcotest.(check string)
-        (Printf.sprintf "jobs %d warm sweep = fresh-solver grid" jobs)
+        (Printf.sprintf "jobs %d warm sweep = fresh-session grid" jobs)
         base
         (Core.Experiments.render_sweep
            (Core.Experiments.run_sweep ~jobs ~seed:1 ~budget:(budget ())

@@ -388,7 +388,7 @@ let verdict_tag = function Sat.Solver.Sat _ -> "sat" | Sat.Solver.Unsat -> "unsa
 let certified_cells s p cells =
   List.iter
     (fun (assumptions, expected) ->
-      let warm = Sat.Solver.solve_assuming_certified ~assumptions s in
+      let warm = Sat.Solver.solve ~assumptions ~certify:true s in
       let fresh = Sat.Solver.solve ~assumptions (Sat.Solver.of_problem p) in
       Alcotest.(check string) "warm verdict" expected (verdict_tag warm);
       Alcotest.(check string) "fresh verdict agrees" (verdict_tag fresh)
@@ -566,14 +566,7 @@ let test_certify_guards () =
     (Invalid_argument
        "Solver.solve: ~certify requires proof logging (enable_proof or \
         of_problem ~proof:true)")
-    (fun () -> ignore (Sat.Solver.solve ~certify:true s));
-  let s' = Sat.Solver.create () in
-  Sat.Solver.enable_proof s';
-  Sat.Solver.add_clause s' [ Sat.Cnf.pos 1; Sat.Cnf.pos 2 ];
-  Alcotest.check_raises "certify excludes assumptions"
-    (Invalid_argument "Solver.solve: ~certify does not support assumptions")
-    (fun () ->
-      ignore (Sat.Solver.solve ~assumptions:[ Sat.Cnf.pos 1 ] ~certify:true s'))
+    (fun () -> ignore (Sat.Solver.solve ~certify:true s))
 
 (* ---- DRUP text format ---- *)
 
@@ -745,24 +738,22 @@ let test_failed_assumptions () =
   check_int "core cleared on Sat" 0
     (List.length (Sat.Solver.failed_assumptions s))
 
-let test_solve_assuming_certified () =
+let test_certified_under_assumptions () =
   let p = { Sat.Cnf.num_vars = 4; clauses = [] } in
   let p = Sat.Cnf.add_clause p [ Sat.Cnf.neg 1; Sat.Cnf.pos 2 ] in
   let p = Sat.Cnf.add_clause p [ Sat.Cnf.neg 2; Sat.Cnf.pos 3 ] in
   let s = Sat.Solver.of_problem ~proof:true p in
   (* one warm session: an unsat cell, then a sat cell, then reuse *)
   (match
-     Sat.Solver.solve_assuming_certified
-       ~assumptions:[ Sat.Cnf.pos 1; Sat.Cnf.neg 3 ] s
+     Sat.Solver.solve ~assumptions:[ Sat.Cnf.pos 1; Sat.Cnf.neg 3 ]
+       ~certify:true s
    with
   | Sat.Solver.Unsat -> ()
   | Sat.Solver.Sat _ -> Alcotest.fail "1 & !3 contradicts the implications");
   (match Sat.Solver.last_certification s with
   | Some r -> check "assumed refutation certified" true (r.Sat.Proof.kind = `Refutation)
   | None -> Alcotest.fail "missing refutation report");
-  (match
-     Sat.Solver.solve_assuming_certified ~assumptions:[ Sat.Cnf.pos 1 ] s
-   with
+  (match Sat.Solver.solve ~assumptions:[ Sat.Cnf.pos 1 ] ~certify:true s with
   | Sat.Solver.Sat m ->
       check "model obeys the implication chain" true (m.(2) && m.(3))
   | Sat.Solver.Unsat -> Alcotest.fail "1 alone is satisfiable");
@@ -775,11 +766,22 @@ let test_solve_assuming_certified () =
   | Sat.Solver.Sat _ -> ()
   | Sat.Solver.Unsat ->
       Alcotest.fail "!1 & !3 satisfiable — certification poisoned the solver");
-  (* guard: requires proof logging *)
+  (* guard: requires proof logging, with or without assumptions *)
   let bare = Sat.Solver.of_problem p in
-  match Sat.Solver.solve_assuming_certified ~assumptions:[] bare with
+  match Sat.Solver.solve ~assumptions:[ Sat.Cnf.pos 1 ] ~certify:true bare with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "must require proof logging"
+
+(* the certificate of an assumption-free solve is the trail as logged,
+   with no extra empty-clause step: its size on php7 is pinned *)
+let test_certified_php7_proof_size () =
+  let s = Sat.Solver.of_problem ~proof:true (Sat.Gen.pigeonhole 7) in
+  check "php7 refuted" true (Sat.Solver.solve ~certify:true s = Sat.Solver.Unsat);
+  match Sat.Solver.last_certification s with
+  | Some r ->
+      check_int "additions" 5902 r.Sat.Proof.additions;
+      check_int "deletions" 4706 r.Sat.Proof.deletions
+  | None -> Alcotest.fail "missing refutation report"
 
 let test_assumption_over_fresh_var () =
   let s = Sat.Solver.create () in
@@ -859,7 +861,9 @@ let suite =
     Alcotest.test_case "reuse fuzz: warm solver = cold oracle" `Quick test_reuse_fuzz;
     Alcotest.test_case "warm retry beats cold solve" `Quick test_warm_retry_fewer_conflicts;
     Alcotest.test_case "failed_assumptions core" `Quick test_failed_assumptions;
-    Alcotest.test_case "certified solve under assumptions" `Quick test_solve_assuming_certified;
+    Alcotest.test_case "certified solve under assumptions" `Quick test_certified_under_assumptions;
+    Alcotest.test_case "certified php7 refutation size pinned" `Quick
+      test_certified_php7_proof_size;
     Alcotest.test_case "warm session crosses reduce_db" `Quick
       test_warm_session_crosses_reduce_db;
     Alcotest.test_case "certified warm session across arena compaction" `Quick

@@ -320,8 +320,7 @@ let test_ladder_cancelled_stops_without_tripping () =
   done;
   (* five cancellations later the breaker must still be closed *)
   check "breaker untouched" true
-    (Service.Breaker.admit (Service.Ladder.breaker l Service.Ladder.Cdcl)
-       ~now:0.0)
+    (Service.Breaker.admit (Service.Ladder.breaker l) ~now:0.0)
 
 let test_ladder_bottom_is_unknown () =
   let l = mk_ladder () in
@@ -335,6 +334,26 @@ let test_ladder_bottom_is_unknown () =
     | Core.Experiments.Undecided r ->
         String.length r >= 9 && String.sub r 0 9 = "degraded:"
     | _ -> false)
+
+(* The explicit rung has no breaker: the service computes its verdict
+   for the reply's exhaustive column whatever the ladder does, so
+   however often it was undecided before, a request it can decide is
+   answered by it rather than degraded to UNKNOWN. *)
+let test_ladder_explicit_rung_never_opens () =
+  let l = mk_ladder () in
+  for _ = 1 to 3 do
+    ignore
+      (Service.Ladder.decide ~now:(fun () -> 0.0) l
+         [ (Service.Ladder.Cdcl, v_timeout); (Service.Ladder.Explicit, v_timeout) ])
+  done;
+  let a =
+    Service.Ladder.decide ~now:(fun () -> 0.0) l
+      [ (Service.Ladder.Cdcl, v_timeout); (Service.Ladder.Explicit, v_holds) ]
+  in
+  check "holds" true (a.Service.Ladder.verdict = Core.Experiments.Holds);
+  check_string "answered by the explicit rung" "explicit" a.Service.Ladder.rung;
+  check "the cdcl rung is still tripped" true
+    (List.assoc_opt "cdcl" a.Service.Ladder.trail = Some "open")
 
 (* The acceptance criterion: force the CDCL rung to time out on a real
    cell and the ladder must land on the explicit checker with exactly
@@ -1090,6 +1109,8 @@ let suite =
       test_ladder_cancelled_stops_without_tripping;
     Alcotest.test_case "ladder: bottom is an honest UNKNOWN" `Quick
       test_ladder_bottom_is_unknown;
+    Alcotest.test_case "ladder: the explicit rung never opens" `Quick
+      test_ladder_explicit_rung_never_opens;
     Alcotest.test_case "ladder: forced CDCL timeout matches explicit verdict" `Slow
       test_ladder_forced_cdcl_timeout_matches_explicit;
     Alcotest.test_case "server: verdict, cache, errors, stats" `Slow
