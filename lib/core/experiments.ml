@@ -50,43 +50,37 @@ let contended policy =
     ~base_utilities:[| [| 10; 11 |]; [| 11; 10 |] |]
     ~policy
 
-let policy_matrix ?(include_sat = true) ppf =
+let policy_matrix ppf =
   Format.fprintf ppf
-    "E3 (Result 1/2): policy matrix — converges? (sim / exhaustive%s)@."
-    (if include_sat then " / SAT model" else "");
-  let rows =
-    List.map2
-      (fun (name, p) (_, mp) ->
-        let sim_converges =
-          match Mca.Protocol.run_sync ~max_rounds:200 (contended p) with
-          | Mca.Protocol.Converged _ -> true
-          | _ -> false
-        in
-        let explicit_converges =
-          match Checker.Explore.run (contended p) with
-          | Checker.Explore.Converges _ -> true
-          | _ -> false
-        in
-        let sat_holds =
-          if not include_sat then sim_converges
-          else
-            match
-              Mca_model.check_consensus ~symmetry:true
-                (Mca_model.build Mca_model.Efficient mp Mca_model.small_scope)
-            with
-            | Alloylite.Compile.Unsat -> true
-            | Alloylite.Compile.Sat _ -> false
-        in
-        Format.fprintf ppf "  %-26s %-10b %-10b %s@." name sim_converges
-          explicit_converges
-          (if include_sat then string_of_bool sat_holds else "(skipped)");
-        { policy_name = name; sim_converges; explicit_converges; sat_holds })
-      Mca.Policy.paper_grid Mca_model.paper_policies
-  in
-  rows
+    "E3 (Result 1/2): policy matrix — converges? (sim / exhaustive / SAT \
+     model)@.";
+  List.map2
+    (fun (name, p) (_, mp) ->
+      let sim_converges =
+        match Mca.Protocol.run_sync ~max_rounds:200 (contended p) with
+        | Mca.Protocol.Converged _ -> true
+        | _ -> false
+      in
+      let explicit_converges =
+        match Checker.Explore.run (contended p) with
+        | Checker.Explore.Converges _ -> true
+        | _ -> false
+      in
+      let sat_holds =
+        match
+          Mca_model.check_consensus ~symmetry:true
+            (Mca_model.build Mca_model.Efficient mp Mca_model.small_scope)
+        with
+        | Alloylite.Compile.Unsat -> true
+        | Alloylite.Compile.Sat _ -> false
+      in
+      Format.fprintf ppf "  %-26s %-10b %-10b %b@." name sim_converges
+        explicit_converges sat_holds;
+      { policy_name = name; sim_converges; explicit_converges; sat_holds })
+    Mca.Policy.paper_grid Mca_model.paper_policies
 
 (* ------------------------------------------------------------------ *)
-(* E11 — the parallel policy-matrix / scope sweep                      *)
+(* The parallel policy-matrix / scope sweep                           *)
 
 type sweep_verdict = Holds | Violated | Undecided of string
 
@@ -587,7 +581,7 @@ type encoding_row = {
   solve_seconds : float option;
 }
 
-let encoding_comparison ?(solve_naive = false) ppf =
+let encoding_comparison ppf =
   Format.fprintf ppf
     "E5 (abstractions): naive Int encoding vs efficient value/bidVector@.";
   Format.fprintf ppf
@@ -617,14 +611,10 @@ let encoding_comparison ?(solve_naive = false) ppf =
             let st = Mca_model.translation_stats m in
             let solve_seconds =
               (* the buffered and naive encodings mirror the paper's slow
-                 full model: report their translation size, solve only on
-                 request *)
-              let solve_this =
-                match enc with
-                | Mca_model.Efficient -> scope_label = "2p/2v/5st"
-                | Mca_model.Buffered | Mca_model.Naive -> solve_naive
-              in
-              if solve_this then begin
+                 full model (the naive one ran ~a day there): report
+                 their translation size only *)
+              if enc = Mca_model.Efficient && scope_label = "2p/2v/5st"
+              then begin
                 let t0 = Unix.gettimeofday () in
                 ignore (Mca_model.check_consensus ~symmetry m);
                 Some (Unix.gettimeofday () -. t0)
@@ -738,7 +728,8 @@ type vnm_row = {
   mean_residual_ratio : float;
 }
 
-let vnm_comparison ?(instances = 30) ppf =
+let vnm_comparison ppf =
+  let instances = 30 in
   Format.fprintf ppf
     "E7 (case study): VN embedding — MCA vs greedy vs optimum (%d requests)@."
     instances;

@@ -1,6 +1,6 @@
 (** Experiment drivers: one function per paper artifact (see the
     experiment index in DESIGN.md). Each returns the rows it printed so
-    tests and the bench harness can assert the qualitative shape —
+    tests and [examples/paper_tables.ml] can assert the qualitative shape —
     who converges, who oscillates, which encoding is smaller — that the
     paper reports. *)
 
@@ -24,11 +24,11 @@ type matrix_row = {
   sat_holds : bool;
 }
 
-val policy_matrix : ?include_sat:bool -> Format.formatter -> matrix_row list
-(** Prints the Result-1 table. [include_sat] (default true) also runs the
-    SAT-model checks (tens of seconds for the UNSAT rows). *)
+val policy_matrix : Format.formatter -> matrix_row list
+(** Prints the Result-1 table: simulation, exhaustive search and the
+    SAT model at {!Mca_model.small_scope} (seconds for the UNSAT rows). *)
 
-(** E11 — the multicore driver: the Result-1/Result-2 policy matrix,
+(** The multicore driver: the Result-1/Result-2 policy matrix,
     optionally crossed with several scopes, sharded over a
     {!Parallel.Pool} of domains. Every cell is an independent
     verification problem (one SAT check, one exhaustive exploration,
@@ -105,8 +105,9 @@ val run_sweep :
     CNF per cell, which is what once made [--jobs 4] slower than
     sequential. Each worker domain threads {e one warm solver}
     through its share of cells ({!Mca_model.domain_session}): learnt
-    clauses and heuristic state carry across cells, making the matrix
-    measurably cheaper than independent solves (bench E17). Verdicts —
+    clauses and heuristic state carry across cells, so the matrix
+    takes fewer conflicts than independent solves (pinned at <= 0.9x
+    by the differential suite). Verdicts —
     and hence the rendered grid — are byte-identical at any [jobs] and
     to a grid of fresh-session cells ([run_cell ~incremental:false]);
     the differential suite pins the warm session against that oracle
@@ -224,9 +225,10 @@ type encoding_row = {
   solve_seconds : float option;  (** [None] when skipped as intractable *)
 }
 
-val encoding_comparison : ?solve_naive:bool -> Format.formatter -> encoding_row list
-(** [solve_naive] (default false) also times the naive-encoding check —
-    expect minutes-to-hours, matching the paper's day-long naive run. *)
+val encoding_comparison : Format.formatter -> encoding_row list
+(** Translation sizes of every encoding at both scopes; only the
+    efficient encoding at 2p/2v/5st is solved — the naive one is left
+    unsolved, as in the paper, where it ran about a day. *)
 
 (** E6 — the D·|J| convergence bound: rounds-to-consensus across
     topologies and item counts. *)
@@ -251,7 +253,8 @@ type vnm_row = {
   mean_residual_ratio : float;  (** vs exhaustive optimum, accepted only *)
 }
 
-val vnm_comparison : ?instances:int -> Format.formatter -> vnm_row list
+val vnm_comparison : Format.formatter -> vnm_row list
+(** Thirty seeded requests on six-node substrates. *)
 
 (** E8 — the Section III listings, run through the textual frontend. *)
 val paper_listings : Format.formatter -> (string * bool) list

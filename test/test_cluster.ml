@@ -887,6 +887,67 @@ let test_cluster_standby_takeover_sigkill () =
       (try Sys.remove primary_journal with Sys_error _ -> ());
       try Sys.remove repl_sock with Sys_error _ -> ()
 
+let test_cluster_healthy_replicated_sweep () =
+  (* the always-on replication stream on a healthy primary: a standby
+     tails every group commit into its replica and never takes over;
+     the primary's grid is the single-process grid. The publisher stops
+     with the sweep, racing the standby's last pull, so the replica is a
+     prefix of the primary journal, not necessarily all of it. *)
+  let ws = List.init 2 (fun _ -> start_worker ()) in
+  Fun.protect ~finally:(fun () -> List.iter (fun (_, t) -> stop_worker t) ws)
+  @@ fun () ->
+  let worker_addrs = List.map fst ws in
+  let journal = temp_path ".wal" and replica = temp_path ".wal" in
+  let repl_sock = temp_sock () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ journal; replica; repl_sock ])
+  @@ fun () ->
+  let drained = Atomic.make false in
+  let sb =
+    {
+      (Service.Cluster.default_standby
+         ~source:(Service.Server.Unix_path repl_sock)
+         (mk_ccfg ~journal:replica worker_addrs))
+      with
+      Service.Cluster.sb_poll_s = 0.01;
+      sb_lease_s = 3600.0;
+      sb_down_after = max_int;
+    }
+  in
+  let standby =
+    Domain.spawn (fun () ->
+        Service.Cluster.run_standby
+          ~stop:(fun () -> Atomic.get drained)
+          ~scopes:[ scope3 ] sb)
+  in
+  let r =
+    Fun.protect ~finally:(fun () -> Atomic.set drained true) @@ fun () ->
+    Service.Cluster.run_sweep ~scopes:[ scope3 ]
+      {
+        (mk_ccfg ~journal worker_addrs) with
+        Service.Cluster.repl_listen = Some (Service.Server.Unix_path repl_sock);
+        epoch = 1;
+        (* long enough that the standby's 10 ms pulls see the sweep *)
+        cl_throttle_s = 0.05;
+      }
+  in
+  (match Domain.join standby with
+  | Service.Cluster.Standby_drained _ -> ()
+  | Service.Cluster.Took_over _ ->
+      Alcotest.fail "the standby took over a healthy primary");
+  check_string "replicated sweep byte-identical to the single-process sweep"
+    (reference_render ())
+    (canonical r.Service.Cluster.sweep);
+  let primary = (Parallel.Journal.read journal).Parallel.Journal.entries in
+  let replicated = (Parallel.Journal.read replica).Parallel.Journal.entries in
+  let n = List.length replicated in
+  check "the standby replicated records" true (n > 0);
+  check "replica is a prefix of the primary journal" true
+    (replicated = List.filteri (fun i _ -> i < n) primary)
+
 let test_cluster_split_brain_fencing () =
   (* the primary stays alive but the replication path partitions: the
      standby takes over anyway, and epoch fencing — not the failure
@@ -1025,6 +1086,8 @@ let suite =
       `Quick test_repl_publish_pull;
     Alcotest.test_case "cluster: SIGKILL'd primary, standby finishes the sweep"
       `Slow test_cluster_standby_takeover_sigkill;
+    Alcotest.test_case "cluster: healthy replicated sweep, standby drains"
+      `Slow test_cluster_healthy_replicated_sweep;
     Alcotest.test_case "cluster: split brain fenced, old primary deposed"
       `Slow test_cluster_split_brain_fencing;
     Alcotest.test_case "cluster: shed and UNKNOWN escalate to a verdict"

@@ -1,8 +1,9 @@
 (* Tests for the paper's model itself (lib/core): construction of both
    encodings, satisfiability of the facts, and the fast consensus
-   verdicts. The slow UNSAT verdicts (Result 1 positives, 10-40s each)
-   are exercised by examples/policy_matrix.ml and the bench harness, not
-   here; the attack counterexamples are quick and are checked here. *)
+   verdicts. The slow UNSAT verdicts (Result 1 positives) are exercised
+   by examples/policy_matrix.ml and examples/paper_tables.ml, and at
+   2p2v/4st by the differential suite, not here; the attack
+   counterexamples are quick and are checked here. *)
 
 let check = Alcotest.(check bool)
 

@@ -276,6 +276,47 @@ let test_incremental_no_unsat_leak () =
   Alcotest.(check string) "submod unaffected by the attack cell" "holds"
     (v submod)
 
+(* the point of the warm session: one solver threaded through the six
+   paper cells gives each cell's fresh-session verdict for less search
+   than six fresh sessions. Search is counted in conflicts, which are
+   deterministic, so the 0.9x threshold holds on any machine. *)
+let test_warm_session_cheaper_than_fresh () =
+  let shared =
+    Core.Mca_model.build_shared Core.Mca_model.Efficient
+      (scope ~states:4 ~values:5)
+  in
+  let solve session mp =
+    verdict_name
+      (Core.Mca_model.check_consensus_incremental
+         ~budget:(Netsim.Budget.create ~wall_s:300.0 ())
+         session mp)
+  in
+  let conflicts session =
+    match Core.Mca_model.session_solver_stats session with
+    | Some st -> st.Sat.Solver.conflicts
+    | None -> 0
+  in
+  let warm = Core.Mca_model.incremental_session shared in
+  let fresh_conflicts =
+    List.fold_left
+      (fun acc (label, mp) ->
+        let fresh = Core.Mca_model.incremental_session shared in
+        let before = conflicts warm in
+        Alcotest.(check string)
+          (label ^ ": warm verdict = fresh verdict")
+          (solve fresh mp) (solve warm mp);
+        (* one solver for the whole matrix: its lifetime count only grows *)
+        check (label ^ ": warm counters carried over") true
+          (conflicts warm >= before);
+        acc + conflicts fresh)
+      0 Core.Mca_model.paper_policies
+  in
+  let warm_conflicts = conflicts warm in
+  check "the fresh sessions searched" true (fresh_conflicts > 0);
+  if float_of_int warm_conflicts > 0.9 *. float_of_int fresh_conflicts then
+    Alcotest.failf "warm session: %d conflicts, above 0.9 x %d fresh"
+      warm_conflicts fresh_conflicts
+
 (* ---- parallel sweep: determinism + the pinned verdict table ---- *)
 
 let sweep_scope = [ ("2p2v/4st", scope ~states:4 ~values:5) ]
@@ -446,6 +487,8 @@ let suite =
       test_shared_translation_3p2v;
     Alcotest.test_case "incremental session: no UNSAT leak across cells" `Slow
       test_incremental_no_unsat_leak;
+    Alcotest.test_case "warm session: fresh verdicts, <= 0.9x the conflicts"
+      `Slow test_warm_session_cheaper_than_fresh;
     Alcotest.test_case "sweep byte-identical across jobs x incremental" `Slow
       test_sweep_incremental_byte_identity;
     Alcotest.test_case "run_cell rejects a shared translation of another scope"
